@@ -290,6 +290,8 @@ def _bench_instance(task: tuple) -> list[dict[str, Any]]:
 
 
 def _map_tasks(worker, tasks: list, jobs: int) -> list:
+    # The fork pool starts every worker up front; never start idle ones.
+    jobs = min(jobs, len(tasks))
     if jobs <= 1:
         return [worker(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

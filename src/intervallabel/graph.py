@@ -1,9 +1,9 @@
 """Core graph machinery for the labeling algorithms.
 
-Vertices are dense integer ids 0..n-1.  Neighborhoods are kept both as
-sorted tuples and as int bitmasks; everything downstream (labelers,
-validators, exact oracles) works on the bitmasks, so popcounts and
-set algebra stay cheap even for the sweep harnesses.
+Vertices are dense integer ids 0..n-1 and each neighborhood is one int
+bitmask, the only representation: degrees are popcounts, neighbor lists
+are ``iter_bits`` walks, and the set algebra of labelers, validators and
+exact oracles stays cheap even for the sweep harnesses.
 """
 
 from __future__ import annotations
@@ -31,42 +31,26 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """Simple undirected graph, immutable once built.
 
-    The constructor trusts its input (no self loops, symmetric rows);
-    use :func:`build_graph` for validated construction from an edge list.
+    ``adj_mask[v]`` is the neighborhood of ``v`` as an int bitmask.  The
+    constructor trusts its input (no self loops, symmetric masks); use
+    :func:`build_graph` for validated construction from an edge list.
     """
 
-    __slots__ = ("n", "adj", "adj_mask", "m", "_dist2")
+    __slots__ = ("n", "adj_mask", "m", "_dist2")
 
-    def __init__(self, n: int, adj: Sequence[Iterable[int]]):
+    def __init__(self, n: int, masks: Sequence[int]):
         self.n = n
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(row)) for row in adj)
-        self.adj_mask: tuple[int, ...] = tuple(
-            sum(1 << u for u in row) for row in self.adj
-        )
-        self.m = sum(len(row) for row in self.adj) // 2
+        self.adj_mask: tuple[int, ...] = tuple(masks)
+        self.m = sum(mk.bit_count() for mk in self.adj_mask) // 2
         self._dist2: tuple[int, ...] | None = None
-
-    @classmethod
-    def from_neighbor_masks(cls, n: int, masks: Sequence[int]) -> "Graph":
-        g = cls.__new__(cls)
-        g.n = n
-        g.adj = tuple(tuple(iter_bits(mk)) for mk in masks)
-        g.adj_mask = tuple(masks)
-        g.m = sum(mk.bit_count() for mk in masks) // 2
-        g._dist2 = None
-        return g
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj_mask[u] >> v & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
+            for v in iter_bits(self.adj_mask[u] & ~((2 << u) - 1)):
+                yield (u, v)
 
     def dist2_masks(self) -> tuple[int, ...]:
         """Per-vertex bitmask of vertices at distance exactly 2."""
@@ -74,7 +58,7 @@ class Graph:
             out = []
             for v in range(self.n):
                 reach = 0
-                for u in self.adj[v]:
+                for u in iter_bits(self.adj_mask[v]):
                     reach |= self.adj_mask[u]
                 out.append(reach & ~(self.adj_mask[v] | (1 << v)))
             self._dist2 = tuple(out)
@@ -128,7 +112,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise GraphError(f"self loop at vertex {u}")
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    return Graph.from_neighbor_masks(n, masks)
+    return Graph(n, masks)
 
 
 def dist2_set(g: Graph, v: int) -> set[int]:
@@ -141,9 +125,7 @@ def dist2_set(g: Graph, v: int) -> set[int]:
 def square(g: Graph) -> Graph:
     """Graph on the same vertices with edges between all pairs at distance <= 2."""
     d2 = g.dist2_masks()
-    return Graph.from_neighbor_masks(
-        g.n, [g.adj_mask[v] | d2[v] for v in range(g.n)]
-    )
+    return Graph(g.n, [g.adj_mask[v] | d2[v] for v in range(g.n)])
 
 
 def is_connected(g: Graph) -> bool:
@@ -167,7 +149,7 @@ def compute_stats(g: Graph, omega_cap: int | None = 64) -> GraphStats:
     ``omega_cap`` is given and n <= omega_cap; otherwise omega is None.
     """
     n = g.n
-    degrees = [len(row) for row in g.adj]
+    degrees = [mk.bit_count() for mk in g.adj_mask]
     mu = 0
     mu_nonadj = 0
     for u in range(n):
@@ -196,7 +178,7 @@ def compute_stats(g: Graph, omega_cap: int | None = 64) -> GraphStats:
 def greedy_clique_mask(g: Graph) -> int:
     """Bitmask of a maximal clique found greedily; a lower-bound witness."""
     best = 0
-    order = sorted(range(g.n), key=lambda v: -len(g.adj[v]))
+    order = sorted(range(g.n), key=lambda v: -g.adj_mask[v].bit_count())
     for start in order[: min(g.n, 8)]:
         mask = 1 << start
         cand = g.adj_mask[start]

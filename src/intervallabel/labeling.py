@@ -72,6 +72,10 @@ class LabelingFormatError(ValueError):
     """Labeling document is malformed."""
 
 
+def _is_int(val: Any) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _check_permutation(n: int, ordering: Sequence[int]) -> list[int]:
     order = list(ordering)
     if sorted(order) != list(range(n)):
@@ -121,8 +125,8 @@ def greedy_lpq(
 def defer_degree_one(g: Graph, base: Sequence[int]) -> list[int]:
     """Stable partition of ``base``: degree-one vertices move to the end."""
     order = _check_permutation(g.n, base)
-    keep = [v for v in order if len(g.adj[v]) != 1]
-    defer = [v for v in order if len(g.adj[v]) == 1]
+    keep = [v for v in order if g.adj_mask[v].bit_count() != 1]
+    defer = [v for v in order if g.adj_mask[v].bit_count() == 1]
     return keep + defer
 
 
@@ -269,9 +273,9 @@ def circular_construction_bound(
 class BoundReport:
     """Achieved span of a labeling against the class's closed-form bound.
 
-    ``report_only`` marks class/parameter combinations where the formula
-    is known not to cover every instance (interval_order with q > p);
-    there a failed bound is reported but not treated as an error.
+    ``report_only`` marks reports whose formula is known to miss some
+    instances (see ``verify.bound_report``); there a failed bound is
+    reported but not treated as an error.
     ``construction_value`` is the split construction's own guarantee,
     recorded for circular-arc instances only.
     """
@@ -345,6 +349,9 @@ def parse_labeling(data: bytes | str) -> Labeling:
     for key in ("p", "q", "labels"):
         if key not in doc:
             raise LabelingFormatError(f"missing field {key!r}")
+    for key in ("p", "q"):
+        if not _is_int(doc[key]):
+            raise LabelingFormatError(f"{key!r} must be an integer")
     raw = doc["labels"]
     if not isinstance(raw, dict):
         raise LabelingFormatError("'labels' must be an object")
@@ -360,17 +367,19 @@ def parse_labeling(data: bytes | str) -> Labeling:
             raise LabelingFormatError(f"vertex id {vid} outside 0..{n - 1}")
         if vid in seen:
             raise LabelingFormatError(f"duplicate label for vertex {vid}")
-        if not isinstance(val, int) or isinstance(val, bool):
+        if not _is_int(val):
             raise LabelingFormatError(f"vertex {vid}: label must be an integer")
         seen.add(vid)
         labels[vid] = val
     ordering = doc.get("ordering", [])
     if not isinstance(ordering, list):
         raise LabelingFormatError("'ordering' must be a list")
+    if not all(_is_int(v) for v in ordering):
+        raise LabelingFormatError("'ordering' entries must be integers")
     return Labeling(
         labels=tuple(labels),
-        p=int(doc["p"]),
-        q=int(doc["q"]),
+        p=doc["p"],
+        q=doc["q"],
         algorithm=str(doc.get("algorithm", "greedy")),
-        ordering=tuple(int(v) for v in ordering),
+        ordering=tuple(ordering),
     )

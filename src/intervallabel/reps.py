@@ -19,6 +19,7 @@ exactly when they share an integer point.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar, Union
@@ -195,7 +196,7 @@ def derive_graph(rep: Representation) -> Graph:
                 if (sv - su) % circ <= lu or (su - sv) % circ <= (ev - sv) % circ:
                     masks[u] |= 1 << v
                     masks[v] |= 1 << u
-        return Graph.from_neighbor_masks(n, masks)
+        return Graph(n, masks)
 
     iv = rep.intervals
     if isinstance(rep, IntervalKRep):
@@ -233,7 +234,7 @@ def derive_graph(rep: Representation) -> Graph:
                     masks[v] |= 1 << u
     else:
         raise TypeError(f"unsupported representation type: {type(rep).__name__}")
-    return Graph.from_neighbor_masks(n, masks)
+    return Graph(n, masks)
 
 
 def rightpoint_order_desc(rep: Representation) -> list[int]:
@@ -273,24 +274,19 @@ def split_circular(rep: CircularArcRep) -> CircularSplit:
         raise TypeError(f"expected CircularArcRep, got {type(rep).__name__}")
     circ = rep.circumference
     n = rep.n
-    # Difference array over the circ unit gaps; arc (s, e) covers the
-    # gaps starting at s, s+1, ..., s+len-1 (mod circ).
-    diff = [0] * (circ + 1)
+    # Arc (s, e) covers the unit gaps s..e-1 (mod circ): coverage changes
+    # only at endpoints (and gap 0 when the arc wraps), so a sweep over
+    # them finds the first minimal gap in O(n log n), whatever circ is.
+    diff: Counter[int] = Counter({0: 0})
     for s, e in rep.arcs:
-        length = (e - s) % circ
-        a, b = s, s + length - 1
-        if b < circ:
-            diff[a] += 1
-            diff[b + 1] -= 1
-        else:
-            diff[a] += 1
-            diff[circ] -= 1
+        diff[s] += 1
+        diff[e] -= 1
+        if e < s:
             diff[0] += 1
-            diff[b - circ + 1] -= 1
     best_x = 0
     best_cover = None
     running = 0
-    for x in range(circ):
+    for x in sorted(diff):
         running += diff[x]
         if best_cover is None or running < best_cover:
             best_cover = running

@@ -342,14 +342,14 @@ def exact_lambda(g: Graph, params: LpqParams, n_cap: int = 12) -> int:
         return 0
     p, q = params.p, params.q
     sq = square(g)
-    by_sqdeg = sorted(range(g.n), key=lambda v: (-len(sq.adj[v]), v))
+    by_sqdeg = sorted(range(g.n), key=lambda v: (-sq.adj_mask[v].bit_count(), v))
     ub = min(
         greedy_lpq(g, range(g.n), params).span,
         greedy_lpq(g, by_sqdeg, params).span,
     )
-    d2g = Graph.from_neighbor_masks(g.n, g.dist2_masks())
+    d2g = Graph(g.n, g.dist2_masks())
     lb = max(
-        max(len(row) for row in g.adj),
+        max(mk.bit_count() for mk in g.adj_mask),
         (clique_number_exact(g, cap=g.n) - 1) * p,
         (clique_number_exact(d2g, cap=g.n) - 1) * q,
         (clique_number_exact(sq, cap=g.n) - 1) * min(p, q),
@@ -382,7 +382,7 @@ def _greedy_coloring_count(g: Graph, order: Sequence[int]) -> int:
     colors = [-1] * g.n
     top = 0
     for v in order:
-        used = {colors[u] for u in g.adj[v] if colors[u] >= 0}
+        used = {colors[u] for u in iter_bits(g.adj_mask[v]) if colors[u] >= 0}
         c = 0
         while c in used:
             c += 1
@@ -398,7 +398,7 @@ def _k_colorable(g: Graph, k: int, order: Sequence[int]) -> bool:
         if i == g.n:
             return True
         v = order[i]
-        forbidden = {colors[u] for u in g.adj[v] if colors[u] >= 0}
+        forbidden = {colors[u] for u in iter_bits(g.adj_mask[v]) if colors[u] >= 0}
         # at most one fresh color per step kills color-permutation symmetry
         for c in range(min(used + 1, k)):
             if c in forbidden:
@@ -426,7 +426,7 @@ def chi_square_exact(g: Graph, n_cap: int = 10) -> int:
     if g.n == 0:
         return 0
     sq = square(g)
-    order = sorted(range(sq.n), key=lambda v: -len(sq.adj[v]))
+    order = sorted(range(sq.n), key=lambda v: -sq.adj_mask[v].bit_count())
     lb = clique_number_exact(sq, cap=max(sq.n, 1))
     ub = _greedy_coloring_count(sq, order)
     for k in range(lb, ub):
@@ -448,7 +448,10 @@ def bound_report(
     branch and bound when n <= omega_cap; beyond that the cut clique of
     the split is used as a lower bound and the report is annotated.
     Interval-order reports with q > p are marked report-only: the bound
-    formula is known to miss some instances there.
+    formula is known to miss some instances there.  So are reports on
+    graphs with max degree <= 1 for the three formulas with negative
+    terms (all but interval and circular-arc), which can then fall below
+    the span any labeling needs.
     """
     g = derive_graph(rep)
     note = ""
@@ -466,9 +469,14 @@ def bound_report(
     else:
         stats = compute_stats(g, omega_cap=None)
     formula = class_bound(rep.kind, params, stats, clique_size=clique_fallback)
-    report_only = rep.kind == "interval_order" and params.q > params.p
+    reasons = []
+    if rep.kind == "interval_order" and params.q > params.p:
+        reasons.append("the interval-order formula does not cover q > p")
+    if stats.max_degree <= 1 and rep.kind not in ("interval", "circular_arc"):
+        reasons.append("max degree <= 1 is outside its hypotheses (connected, n >= 3)")
+    report_only = bool(reasons)
     if report_only:
-        note = "report-only: the interval-order formula does not cover q > p"
+        note = "report-only: " + "; ".join(reasons)
     return BoundReport(
         kind=rep.kind,
         p=params.p,
@@ -528,9 +536,9 @@ def _claim_interval_dominator(rep: IntervalRep, g: Graph) -> ClaimCheck:
     if g.n == 0:
         return ClaimCheck("interval-dominator", False, ())
     v = min(range(g.n), key=lambda i: (iv[i][1], i))
-    if not g.adj[v]:
+    if not g.adj_mask[v]:
         return ClaimCheck("interval-dominator", False, ())
-    w = min(g.adj[v], key=lambda u: (-iv[u][1], u))
+    w = min(iter_bits(g.adj_mask[v]), key=lambda u: (-iv[u][1], u))
     allowed = (g.adj_mask[w] | (1 << w)) & ~(1 << v)
     offenders = (g.adj_mask[v] | g.dist2_masks()[v]) & ~allowed
     return ClaimCheck(
@@ -548,7 +556,7 @@ def _claim_containment_nesting(rep: ContainmentRep, g: Graph) -> ClaimCheck:
     if g.n == 0:
         return ClaimCheck("containment-nesting", False, ())
     v1 = min(range(g.n), key=lambda i: (iv[i][1], i))
-    nbrs = sorted(g.adj[v1], key=lambda u: (iv[u][1], u))
+    nbrs = sorted(iter_bits(g.adj_mask[v1]), key=lambda u: (iv[u][1], u))
     if not nbrs:
         return ClaimCheck("containment-nesting", False, ())
     witnesses: list[tuple] = []
@@ -587,13 +595,12 @@ def _claim_order_min_cover(rep: IntervalOrderRep, g: Graph) -> ClaimCheck:
     # endpoint is adjacent to all minimal elements.
     iv = rep.intervals
     mins = minimal_elements(rep)
-    degrees = [len(row) for row in g.adj]
-    if g.n == 0 or min(degrees) < 2 or len(mins) < 2:
+    if g.n == 0 or min(mk.bit_count() for mk in g.adj_mask) < 2 or len(mins) < 2:
         return ClaimCheck("order-min-cover", False, ())
     w = min(mins, key=lambda u: (-iv[u][1], u))
     min_mask = sum(1 << u for u in mins)
     witnesses: list[tuple] = []
-    for x in g.adj[w]:
+    for x in iter_bits(g.adj_mask[w]):
         missing = min_mask & ~g.adj_mask[x] & ~(1 << x)
         witnesses.extend((w, x, z) for z in iter_bits(missing))
     return ClaimCheck("order-min-cover", True, tuple(witnesses))

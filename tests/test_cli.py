@@ -12,6 +12,7 @@ from intervallabel import (
     parse_labeling,
     serialize_instance,
 )
+from intervallabel import cli
 from intervallabel.cli import ENV_SEED, main
 
 
@@ -232,6 +233,21 @@ def test_check_size_mismatch(tmp_path, capsys):
     assert "covers 1 vertices, instance has 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "change",
+    [{"p": 2.7}, {"q": True}, {"p": "3"}, {"ordering": ["0"]}],
+)
+def test_check_rejects_non_integer_fields(tmp_path, capsys, change):
+    inst = _p3_instance(tmp_path)
+    doc = {"p": 2, "q": 1, "labels": {"0": 0, "1": 2, "2": 4}, "ordering": [2, 1, 0]}
+    doc.update(change)
+    lab = tmp_path / "lab.json"
+    lab.write_text(json.dumps(doc) + "\n")
+    rc = main(["check", "--in", inst, "--labeling", str(lab)])
+    assert rc == 2
+    assert "must be" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
@@ -338,6 +354,48 @@ def test_bench_report_only_failures_exit_zero(capsys):
     )
     assert rc == 0
     assert any(row["holds"] == "false" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "cls, seed, pq",
+    [("containment", "0", "2,1"), ("interval_k", "3", "1,1")],
+)
+def test_bench_max_degree_one_is_report_only(capsys, cls, seed, pq):
+    """Bounds evaluated at max degree <= 1 (outside the paper's hypotheses)
+    are reported, not counted as violations."""
+    rc, rows = _bench_rows(
+        ["bench", "--class", cls, "--n", "2", "--seed", seed, "--count", "1",
+         "--pq", pq],
+        capsys,
+    )
+    assert rc == 0
+    (row,) = rows
+    assert int(row["max_degree"]) <= 1
+    assert row["holds"] == "false"
+
+
+def test_map_tasks_starts_no_more_workers_than_tasks(monkeypatch):
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    assert cli._map_tasks(abs, [-1, -2], 5000) == [1, 2]
+    assert cli._map_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    assert cli._map_tasks(abs, [-4], 5000) == [4]
+    assert cli._map_tasks(abs, [], 5000) == []
+    assert seen == [2, 2]
 
 
 def test_bench_skips_oracle_beyond_cap(capsys):

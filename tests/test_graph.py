@@ -23,10 +23,19 @@ from intervallabel.graph import greedy_clique_mask, iter_bits
 THREE_CLASS_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)]
 
 
+def _neighbor_sets(n, edges):
+    """Reference adjacency built from the edge list alone, not from a Graph."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
 def test_build_graph_path():
     g = build_graph(3, [(0, 1), (1, 2)])
-    assert g.adj[1] == (0, 2)
-    assert g.adj[0] == (1,)
+    assert list(iter_bits(g.adj_mask[1])) == [0, 2]
+    assert g.adj_mask[0] == 0b010
     assert g.m == 2
 
 
@@ -54,7 +63,7 @@ def test_build_graph_rejects_self_loop():
 
 def test_build_graph_eight_edge_instance():
     g = build_graph(5, THREE_CLASS_EDGES)
-    assert g.adj[0] == (1, 2, 3, 4)
+    assert list(iter_bits(g.adj_mask[0])) == [1, 2, 3, 4]
     assert g.m == 8
 
 
@@ -97,8 +106,8 @@ def test_square_matches_bfs_distances():
     for _ in range(60):
         n = rng.randint(1, 10)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.35]
-        g = build_graph(n, edges)
-        sq = square(g)
+        sq = square(build_graph(n, edges))
+        nbrs = _neighbor_sets(n, edges)
         dist = [[None] * n for _ in range(n)]
         for s in range(n):
             dist[s][s] = 0
@@ -108,7 +117,7 @@ def test_square_matches_bfs_distances():
                 d += 1
                 nxt = []
                 for v in frontier:
-                    for u in g.adj[v]:
+                    for u in nbrs[v]:
                         if dist[s][u] is None:
                             dist[s][u] = d
                             nxt.append(u)
@@ -143,17 +152,16 @@ def test_stats_multiplicity_matches_brute_force():
     for _ in range(60):
         n = rng.randint(2, 9)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
-        g = build_graph(n, edges)
-        st = compute_stats(g)
+        st = compute_stats(build_graph(n, edges))
+        nbrs = _neighbor_sets(n, edges)
         mu = max(
-            len(set(g.adj[u]) & set(g.adj[v]))
-            for u, v in itertools.combinations(range(n), 2)
+            len(nbrs[u] & nbrs[v]) for u, v in itertools.combinations(range(n), 2)
         )
         assert st.multiplicity == mu
         non_adj = [
-            len(set(g.adj[u]) & set(g.adj[v]))
+            len(nbrs[u] & nbrs[v])
             for u, v in itertools.combinations(range(n), 2)
-            if not g.has_edge(u, v)
+            if v not in nbrs[u]
         ]
         assert st.multiplicity_nonadjacent == max(non_adj, default=0)
         assert st.multiplicity_nonadjacent <= st.multiplicity

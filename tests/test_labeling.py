@@ -312,3 +312,12 @@ def test_parse_labeling_errors():
         parse_labeling(broken(ordering="012"))
     with pytest.raises(LabelingFormatError, match="invalid JSON"):
         parse_labeling(b"[")
+    # values are rejected, never coerced (2.7 -> 2, true -> 1, "3" -> 3)
+    with pytest.raises(LabelingFormatError, match="'p' must be an integer"):
+        parse_labeling(broken(p=2.7))
+    with pytest.raises(LabelingFormatError, match="'q' must be an integer"):
+        parse_labeling(broken(q=True))
+    with pytest.raises(LabelingFormatError, match="'p' must be an integer"):
+        parse_labeling(broken(p="3"))
+    with pytest.raises(LabelingFormatError, match="'ordering' entries must be integers"):
+        parse_labeling(broken(ordering=["0"]))

@@ -1,6 +1,7 @@
 """Representation families: validation, graph derivation, orderings, the
 circular split and the interval-order helpers."""
 
+import json
 import random
 
 import pytest
@@ -11,14 +12,19 @@ from intervallabel import (
     IntervalKRep,
     IntervalOrderRep,
     IntervalRep,
+    LpqParams,
     RepError,
+    bound_report,
     derive_graph,
     find_2k2,
     gen_instance,
     is_2k2_free,
+    label_instance,
     minimal_elements,
+    parse_instance,
     rightpoint_order_desc,
     split_circular,
+    validate,
 )
 from intervallabel.reps import arc_contains_point
 
@@ -191,6 +197,68 @@ def test_split_two_near_full_arcs():
     assert split.clique_ids == ()
     assert split.intervals.intervals == ((0, 5), (0, 5))
     assert derive_graph(split.intervals).has_edge(0, 1)
+
+
+def _dense_cut(rep):
+    """Reference for the cut: a difference array over every unit gap."""
+    circ = rep.circumference
+    diff = [0] * (circ + 1)
+    for s, e in rep.arcs:
+        b = s + (e - s) % circ - 1
+        diff[s] += 1
+        if b < circ:
+            diff[b + 1] -= 1
+        else:
+            diff[circ] -= 1
+            diff[0] += 1
+            diff[b - circ + 1] -= 1
+    cover = []
+    running = 0
+    for x in range(circ):
+        running += diff[x]
+        cover.append(running)
+    return cover.index(min(cover))
+
+
+def test_split_cut_matches_dense_reference():
+    """Sparse endpoint sweep picks the same gap as the dense array, ties included."""
+    rng = random.Random(41)
+    for _ in range(400):
+        circ = rng.randint(2, 24)
+        n = rng.randint(0, 8)
+        arcs = tuple(
+            (s, (s + rng.randrange(1, circ)) % circ)
+            for s in (rng.randrange(circ) for _ in range(n))
+        )
+        rep = CircularArcRep(arcs, circ)
+        split = split_circular(rep)
+        cut = _dense_cut(rep)
+        assert split.cut == cut, (arcs, circ)
+        assert split.clique_ids == tuple(
+            v for v, (s, e) in enumerate(arcs) if (cut - s) % circ + 1 <= (e - s) % circ
+        )
+
+
+def test_huge_circumference_parses_labels_and_validates():
+    """Memory must not grow with the circumference: 2**62 gaps cannot be
+    allocated, so only an endpoint-based split gets through."""
+    circ = 2**62
+    doc = {
+        "class": "circular_arc",
+        "circumference": circ,
+        "vertices": [
+            {"id": 0, "s": 0, "e": 2**61},
+            {"id": 1, "s": 2**61, "e": circ - 1},
+            {"id": 2, "s": circ - 10, "e": 5},
+        ],
+    }
+    rep = parse_instance(json.dumps(doc))
+    split = split_circular(rep)
+    assert (split.cut, split.clique_ids) == (5, (0,))
+    params = LpqParams(2, 1)
+    lab = label_instance(rep, params)
+    assert validate(derive_graph(rep), lab) == []
+    assert bound_report(rep, lab, params).holds
 
 
 def test_split_preserves_structure():

@@ -40,32 +40,40 @@ P21 = LpqParams(2, 1)
 P11 = LpqParams(1, 1)
 
 
+def _random_edges(rng, n):
+    return [e for e in combinations(range(n), 2) if rng.random() < 0.5]
+
+
 def _random_graph(rng, n):
-    edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
-    return build_graph(n, edges)
+    return build_graph(n, _random_edges(rng, n))
 
 
-def _bfs_dist(g, src):
-    dist = [-1] * g.n
+def _bfs_dist(nbrs, src):
+    dist = [-1] * len(nbrs)
     dist[src] = 0
     dq = deque([src])
     while dq:
         u = dq.popleft()
-        for v in g.adj[u]:
+        for v in nbrs[u]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 dq.append(v)
     return dist
 
 
-def _naive_lambda(g, p, q):
+def _naive_lambda(n, edges, p, q):
     """Reference oracle: smallest span admitting a labeling, by trying
-    spans upward with a label-by-label recursive enumeration."""
-    dist = [_bfs_dist(g, u) for u in range(g.n)]
+    spans upward with a label-by-label recursive enumeration.  It reads
+    the edge list only, never a Graph."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    dist = [_bfs_dist(nbrs, u) for u in range(n)]
 
     def place(span, labels):
         v = len(labels)
-        if v == g.n:
+        if v == n:
             return True
         for x in range(span + 1):
             ok = True
@@ -217,10 +225,11 @@ def test_exact_lambda_against_brute_force():
     rng = random.Random(97)
     for _ in range(100):
         n = rng.randint(1, 5)
-        g = _random_graph(rng, n)
+        edges = _random_edges(rng, n)
         p, q = rng.choice([(1, 1), (2, 1), (1, 2), (2, 3)])
-        assert exact_lambda(g, LpqParams(p, q)) == _naive_lambda(g, p, q), (
-            g.edges(),
+        g = build_graph(n, edges)
+        assert exact_lambda(g, LpqParams(p, q)) == _naive_lambda(n, edges, p, q), (
+            edges,
             p,
             q,
         )
@@ -254,21 +263,23 @@ def test_exact_lambda_monotone_in_params(data):
 def test_internal_solvers_agree():
     rng = random.Random(7)
     for _ in range(60):
-        g = _random_graph(rng, rng.randint(1, 6))
+        n = rng.randint(1, 6)
+        edges = _random_edges(rng, n)
         p, q = rng.choice([(1, 1), (2, 1), (1, 2), (3, 2)])
-        assert _lambda_dp(g, p, q) == _naive_lambda(g, p, q)
+        assert _lambda_dp(build_graph(n, edges), p, q) == _naive_lambda(n, edges, p, q)
 
 
 def test_path_dp_agrees_on_complete_squares():
     cases = [
-        build_graph(3, [(0, 1), (1, 2)]),
-        build_graph(4, [(0, 1), (0, 2), (0, 3)]),
-        build_graph(5, [(i, (i + 1) % 5) for i in range(5)]),
-        build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+        (3, [(0, 1), (1, 2)]),
+        (4, [(0, 1), (0, 2), (0, 3)]),
+        (5, [(i, (i + 1) % 5) for i in range(5)]),
+        (4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
     ]
-    for g in cases:
+    for n, edges in cases:
+        g = build_graph(n, edges)
         for p, q in ((1, 1), (2, 1), (3, 2), (1, 2)):
-            assert _lambda_path_dp(g, p, q) == _naive_lambda(g, p, q)
+            assert _lambda_path_dp(g, p, q) == _naive_lambda(n, edges, p, q)
 
 
 def test_chi_square_pins():
@@ -325,6 +336,31 @@ def test_bound_report_order_p_ge_q_not_report_only(star_order_rep):
     rpt = bound_report(star_order_rep, label_instance(star_order_rep, P21), P21)
     assert not rpt.report_only
     assert rpt.holds
+
+
+def test_bound_report_max_degree_one_is_report_only():
+    """Formulas with negative terms fall below any span at max degree <= 1;
+    those reports are kept but marked report-only."""
+    rep = ContainmentRep(((0, 1), (2, 3)))
+    lab = label_instance(rep, P21)
+    rpt = bound_report(rep, lab, P21)
+    assert (rpt.stats.max_degree, rpt.formula_value, rpt.achieved_span) == (0, -1, 0)
+    assert not rpt.holds
+    assert rpt.report_only
+    assert rpt.note.startswith("report-only: max degree <= 1")
+
+    order = IntervalOrderRep(((0, 1), (2, 3)))
+    params = LpqParams(1, 2)
+    rpt = bound_report(order, label_instance(order, params), params)
+    assert rpt.stats.max_degree == 1 and rpt.report_only
+    assert "q > p" in rpt.note and "max degree <= 1" in rpt.note
+
+
+def test_bound_report_max_degree_one_keeps_interval_checked():
+    rep = IntervalRep(((0, 1), (1, 2), (5, 6)))
+    rpt = bound_report(rep, label_instance(rep, P21), P21)
+    assert rpt.stats.max_degree == 1
+    assert rpt.holds and not rpt.report_only
 
 
 def test_bound_report_circular(twelve_arc_rep):
