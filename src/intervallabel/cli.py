@@ -14,8 +14,9 @@ environment variable; commands that generate instances refuse to run
 without one so results stay reproducible.
 
 Exit status: 0 on success, 1 when a validity violation, a failed
-non-report-only bound, or a claim violation was found, 2 on usage or
-input errors.
+non-report-only bound, or a claim violation was found, or when ``label``
+or ``bench`` produced an arc labeling whose span exceeds the split
+construction's own bound, 2 on usage or input errors.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .instances import (
     serialize_instance,
 )
 from .labeling import (
+    BoundReport,
     LabelingFormatError,
     LpqParams,
     label_instance,
@@ -162,7 +164,7 @@ def cmd_label(args: argparse.Namespace) -> int:
     rep = _load_instance(args.infile)
     params = LpqParams(args.p, args.q)
     lab = label_instance(rep, params)
-    report = bound_report(rep, lab, params, omega_cap=args.omega_cap)
+    report = bound_report(rep, lab, params)
     if args.out:
         Path(args.out).write_bytes(serialize_labeling(lab))
     report_json = json.dumps([report.to_dict()], indent=2) + "\n"
@@ -185,6 +187,10 @@ def cmd_label(args: argparse.Namespace) -> int:
             f"bound violated: span {report.achieved_span} > {report.formula_value}",
             file=sys.stderr,
         )
+        return 1
+    error = _construction_error(report)
+    if error:
+        print(error, file=sys.stderr)
         return 1
     return 0
 
@@ -209,7 +215,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     else:
         params = LpqParams(lab.p, lab.q)
     violations = validate(g, lab, params, variant=args.variant)
-    report = bound_report(rep, lab, params, omega_cap=args.omega_cap)
+    report = bound_report(rep, lab, params)
     doc = {
         "violations": [v.to_dict() for v in violations],
         "report": report.to_dict(),
@@ -254,8 +260,18 @@ def _parse_pq(values: Sequence[str] | None) -> list[tuple[int, int]]:
     return pairs
 
 
+def _construction_error(report: BoundReport) -> str:
+    """The failure line when an arc labeling exceeds the split
+    construction's own bound, else "".  Only ``label`` and ``bench`` use
+    it: ``check`` validates labelings made elsewhere."""
+    bound = report.construction_value
+    if bound is None or report.achieved_span <= bound:
+        return ""
+    return f"construction bound exceeded: span {report.achieved_span} > {bound}"
+
+
 def _bench_instance(task: tuple) -> list[dict[str, Any]]:
-    cfg, index, pairs, cap, omega_cap = task
+    cfg, index, pairs, cap = task
     rep = cfg.instance(index)
     g = derive_graph(rep)
     rows = []
@@ -263,8 +279,8 @@ def _bench_instance(task: tuple) -> list[dict[str, Any]]:
         params = LpqParams(p, q)
         t0 = time.perf_counter_ns()
         lab = label_instance(rep, params)
-        report = bound_report(rep, lab, params, omega_cap=omega_cap)
         runtime_us = (time.perf_counter_ns() - t0) // 1000
+        report = bound_report(rep, lab, params)
         bad = bool(validate(g, lab))
         lam = exact_lambda(g, params, n_cap=cap) if g.n <= cap else None
         rows.append(
@@ -284,6 +300,7 @@ def _bench_instance(task: tuple) -> list[dict[str, Any]]:
                 "runtime_us": runtime_us,
                 "_invalid": bad,
                 "_report_only": report.report_only,
+                "_construction_error": _construction_error(report),
             }
         )
     return rows
@@ -301,13 +318,16 @@ def _map_tasks(worker, tasks: list, jobs: int) -> list:
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _run_config(args, args.count)
     pairs = _parse_pq(args.pq)
-    tasks = [(cfg, idx, pairs, args.cap, args.omega_cap) for idx in range(cfg.count)]
+    tasks = [(cfg, idx, pairs, args.cap) for idx in range(cfg.count)]
     results = _map_tasks(_bench_instance, tasks, args.jobs)
     rows = [row for chunk in results for row in chunk]
-    failed = any(r["_invalid"] or (not r["holds"] and not r["_report_only"]) for r in rows)
+    failed = False
     for row in rows:
-        row.pop("_invalid")
-        row.pop("_report_only")
+        invalid, report_only = row.pop("_invalid"), row.pop("_report_only")
+        error = row.pop("_construction_error")
+        failed |= invalid or (not row["holds"] and not report_only) or bool(error)
+        if error:
+            print(f"seed {row['seed']} ({row['p']},{row['q']}): {error}", file=sys.stderr)
     if args.format == "json":
         payload = json.dumps(rows, indent=2) + "\n"
     else:
@@ -428,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_label.add_argument("--q", type=int, required=True)
     p_label.add_argument("--out", default=None, help="labeling output path")
     p_label.add_argument("--report", default=None, help="bound report output path")
-    p_label.add_argument("--omega-cap", type=int, default=64)
     p_label.set_defaults(func=cmd_label)
 
     p_check = sub.add_parser("check", help="validate a labeling file")
@@ -437,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--p", type=int, default=None, help="override labeling p")
     p_check.add_argument("--q", type=int, default=None, help="override labeling q")
     p_check.add_argument("--variant", choices=("L1", "L2", "L3"), default="L1")
-    p_check.add_argument("--omega-cap", type=int, default=64)
     p_check.add_argument("--out", default=None)
     p_check.set_defaults(func=cmd_check)
 
@@ -458,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="grid point, repeatable; no occurrences = empty grid",
     )
     p_bench.add_argument("--cap", type=int, default=12, help="exact oracle cap")
-    p_bench.add_argument("--omega-cap", type=int, default=64)
     p_bench.add_argument("--jobs", type=int, default=1)
     p_bench.add_argument("--format", choices=("json", "csv"), default="csv")
     p_bench.add_argument("--out", default=None)

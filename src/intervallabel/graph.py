@@ -83,8 +83,8 @@ class GraphStats:
     ``multiplicity`` is the maximum number of common neighbors over all
     unordered pairs of distinct vertices, adjacent or not;
     ``multiplicity_nonadjacent`` restricts the maximum to non-adjacent
-    pairs.  ``omega`` is the exact clique number when it was computed,
-    None when the instance exceeded the configured cap.
+    pairs.  ``omega`` is the exact clique number; :func:`compute_stats`
+    leaves it None, and ``verify.bound_report`` fills it in for arcs.
     """
 
     n: int
@@ -142,12 +142,8 @@ def is_connected(g: Graph) -> bool:
     return seen == (1 << g.n) - 1
 
 
-def compute_stats(g: Graph, omega_cap: int | None = 64) -> GraphStats:
-    """Degree, multiplicity and connectivity statistics of ``g``.
-
-    The clique number is computed exactly (branch and bound) only when
-    ``omega_cap`` is given and n <= omega_cap; otherwise omega is None.
-    """
+def compute_stats(g: Graph) -> GraphStats:
+    """Degree, multiplicity and connectivity statistics of ``g`` (omega None)."""
     n = g.n
     degrees = [mk.bit_count() for mk in g.adj_mask]
     mu = 0
@@ -160,9 +156,6 @@ def compute_stats(g: Graph, omega_cap: int | None = 64) -> GraphStats:
                 mu = common
             if common > mu_nonadj and not mask_u >> v & 1:
                 mu_nonadj = common
-    omega: int | None = None
-    if omega_cap is not None and n <= omega_cap:
-        omega = clique_number_exact(g, cap=omega_cap)
     return GraphStats(
         n=n,
         m=g.m,
@@ -171,7 +164,6 @@ def compute_stats(g: Graph, omega_cap: int | None = 64) -> GraphStats:
         multiplicity=mu,
         multiplicity_nonadjacent=mu_nonadj,
         is_connected=is_connected(g),
-        omega=omega,
     )
 
 

@@ -227,16 +227,10 @@ def label_instance(rep: Representation, params: LpqParams) -> Labeling:
     return _LABELERS[rep.kind](rep, params)
 
 
-def class_bound(
-    kind: str,
-    params: LpqParams,
-    stats: GraphStats,
-    clique_size: int | None = None,
-) -> int:
+def class_bound(kind: str, params: LpqParams, stats: GraphStats) -> int:
     """Closed-form span bound for the class, evaluated on ``stats``.
 
-    ``clique_size`` substitutes for the clique number in the circular-arc
-    bound when ``stats.omega`` is absent (e.g. a known lower bound).
+    The circular-arc bound needs ``stats.omega``; ValueError without it.
     """
     p, q = params.p, params.q
     dd = stats.max_degree
@@ -249,10 +243,9 @@ def class_bound(
             (2 * p - 1) * mu + (2 * q - 1) * dd - 2 * q + 1,
         )
     if kind == "circular_arc":
-        omega = stats.omega if stats.omega is not None else clique_size
-        if omega is None:
+        if stats.omega is None:
             raise ValueError("clique number required for the circular-arc bound")
-        return max(p, q) * dd + p * omega
+        return max(p, q) * dd + p * stats.omega
     if kind == "containment":
         return 2 * (p + q - 1) * dd - 2 * q + 1
     if kind == "interval_order":
@@ -357,19 +350,19 @@ def parse_labeling(data: bytes | str) -> Labeling:
         raise LabelingFormatError("'labels' must be an object")
     n = len(raw)
     labels = [0] * n
-    seen = set()
+    # Only canonical decimal keys, so distinct keys name distinct ids and
+    # n keys in 0..n-1 cover every vertex once.
     for key, val in raw.items():
         try:
             vid = int(key)
         except ValueError:
-            raise LabelingFormatError(f"label key {key!r} is not a vertex id") from None
+            vid = None
+        if vid is None or key != str(vid):
+            raise LabelingFormatError(f"label key {key!r} is not a vertex id")
         if not 0 <= vid < n:
             raise LabelingFormatError(f"vertex id {vid} outside 0..{n - 1}")
-        if vid in seen:
-            raise LabelingFormatError(f"duplicate label for vertex {vid}")
         if not _is_int(val):
             raise LabelingFormatError(f"vertex {vid}: label must be an integer")
-        seen.add(vid)
         labels[vid] = val
     ordering = doc.get("ordering", [])
     if not isinstance(ordering, list):

@@ -19,12 +19,13 @@ exactly when they share an integer point.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar, Union
+from typing import ClassVar, Sequence, Union
 
-from .graph import Graph
+from .graph import Graph, iter_bits
 
 
 class RepError(ValueError):
@@ -172,6 +173,74 @@ REP_KINDS = ("interval", "interval_k", "circular_arc", "containment", "interval_
 def arc_contains_point(s: int, e: int, x: int, circ: int) -> bool:
     """True when the closed arc (s, e) covers the integer point x."""
     return (x - s) % circ <= (e - s) % circ
+
+
+def _below(keys: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Sorted ``keys`` and prefix masks: ``masks[i]`` holds the vertices
+    of the i smallest keys, so ``masks[bisect_left(vals, t)]`` is the set
+    with key < t and ``masks[bisect_right(vals, t)]`` the set with key <= t."""
+    vals, masks = [], [0]
+    for v in sorted(range(len(keys)), key=keys.__getitem__):
+        vals.append(keys[v])
+        masks.append(masks[-1] | 1 << v)
+    return vals, masks
+
+
+def arc_clique_number(rep: CircularArcRep) -> int:
+    """Exact clique number of a circular-arc graph, from the arcs alone.
+
+    A shortest arc a of a clique K cannot contain another member
+    strictly inside it, so every member of K is no shorter than a and
+    covers s_a or e_a.  Both covering sets are cliques, so by König the
+    best clique in their union is its size minus a maximum matching of
+    disjoint pairs between X (covers s_a only) and Y (covers e_a only).
+    x and y are disjoint when x ends before y starts inside a and y ends
+    before x starts outside a; taking y by increasing inside start, each
+    one greedily matches the pooled x of smallest outside start above
+    its own end, which is a maximum matching because pools only grow.
+    """
+    arcs, circ, n = rep.arcs, rep.circumference, rep.n
+    lengths = [(e - s) % circ for s, e in arcs]
+    starts, start_masks = _below([s for s, _ in arcs])
+    ends, end_masks = _below([e for _, e in arcs])
+    neg_len, long_masks = _below([-length for length in lengths])
+    full = (1 << n) - 1
+    wraps = sum(1 << v for v, (s, e) in enumerate(arcs) if s > e)
+
+    def cover(x: int) -> int:
+        s_le = start_masks[bisect_right(starts, x)]
+        e_ge = full & ~end_masks[bisect_left(ends, x)]
+        return (s_le & e_ge) | (wraps & (s_le | e_ge))
+
+    best = 0
+    for a, (sa, ea) in enumerate(arcs):
+        long = long_masks[bisect_right(neg_len, -lengths[a])]
+        ps, pe = cover(sa) & long, cover(ea) & long
+        size = (ps | pe).bit_count()
+        if size <= best:
+            continue
+        # Keys (inside, outside), measured from s_a and from e_a: an x
+        # by its end and start, a y by its start and end.
+        xs = sorted(
+            ((arcs[x][1] - sa) % circ, (arcs[x][0] - ea) % circ)
+            for x in iter_bits(ps & ~pe)
+        )
+        ys = sorted(
+            ((arcs[y][0] - sa) % circ, (arcs[y][1] - ea) % circ)
+            for y in iter_bits(pe & ~ps)
+        )
+        pool: list[int] = []
+        i = 0
+        for inside, outside in ys:
+            while i < len(xs) and xs[i][0] < inside:
+                insort(pool, xs[i][1])
+                i += 1
+            j = bisect_right(pool, outside)
+            if j < len(pool):
+                del pool[j]
+                size -= 1
+        best = max(best, size)
+    return best
 
 
 def _arc_covers_gap(s: int, e: int, x: int, circ: int) -> bool:

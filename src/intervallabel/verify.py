@@ -9,7 +9,7 @@ behind shared machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 from .graph import (
@@ -36,6 +36,7 @@ from .reps import (
     IntervalOrderRep,
     IntervalRep,
     Representation,
+    arc_clique_number,
     derive_graph,
     minimal_elements,
     split_circular,
@@ -435,48 +436,31 @@ def chi_square_exact(g: Graph, n_cap: int = 10) -> int:
     return ub
 
 
-def bound_report(
-    rep: Representation,
-    lab: Labeling,
-    params: LpqParams,
-    *,
-    omega_cap: int = 64,
-) -> BoundReport:
+def bound_report(rep: Representation, lab: Labeling, params: LpqParams) -> BoundReport:
     """Evaluate the class bound for ``rep`` against the achieved span.
 
-    For circular-arc instances the clique number comes from the exact
-    branch and bound when n <= omega_cap; beyond that the cut clique of
-    the split is used as a lower bound and the report is annotated.
+    For circular-arc instances the stats carry the exact clique number
+    from ``arc_clique_number``, and the report records the split
+    construction's own bound.
     Interval-order reports with q > p are marked report-only: the bound
     formula is known to miss some instances there.  So are reports on
     graphs with max degree <= 1 for the three formulas with negative
     terms (all but interval and circular-arc), which can then fall below
     the span any labeling needs.
     """
-    g = derive_graph(rep)
-    note = ""
+    stats = compute_stats(derive_graph(rep))
     construction = None
-    clique_fallback = None
     if rep.kind == "circular_arc":
-        stats = compute_stats(g, omega_cap=omega_cap)
-        split = split_circular(rep)
+        stats = replace(stats, omega=arc_clique_number(rep))
         construction = circular_construction_bound(
-            params, stats.max_degree, len(split.clique_ids)
+            params, stats.max_degree, len(split_circular(rep).clique_ids)
         )
-        if stats.omega is None:
-            clique_fallback = max(len(split.clique_ids), 1)
-            note = "omega unavailable (n > cap); bound uses the cut clique size, a lower bound"
-    else:
-        stats = compute_stats(g, omega_cap=None)
-    formula = class_bound(rep.kind, params, stats, clique_size=clique_fallback)
+    formula = class_bound(rep.kind, params, stats)
     reasons = []
     if rep.kind == "interval_order" and params.q > params.p:
         reasons.append("the interval-order formula does not cover q > p")
     if stats.max_degree <= 1 and rep.kind not in ("interval", "circular_arc"):
         reasons.append("max degree <= 1 is outside its hypotheses (connected, n >= 3)")
-    report_only = bool(reasons)
-    if report_only:
-        note = "report-only: " + "; ".join(reasons)
     return BoundReport(
         kind=rep.kind,
         p=params.p,
@@ -485,9 +469,9 @@ def bound_report(
         achieved_span=lab.span,
         holds=lab.span <= formula,
         stats=stats,
-        report_only=report_only,
+        report_only=bool(reasons),
         construction_value=construction,
-        note=note,
+        note="report-only: " + "; ".join(reasons) if reasons else "",
     )
 
 

@@ -16,13 +16,16 @@ covered on the unfiltered corpus by criterion 1.
 import json
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 from intervallabel import (
     IntervalOrderRep,
     LpqParams,
+    arc_clique_number,
     chi_square_exact,
     check_structural_claims,
     class_bound,
+    clique_number_exact,
     compute_stats,
     derive_graph,
     exact_lambda,
@@ -89,7 +92,7 @@ def test_2_interval_bound_pincer():
         for seed, n in _sizes(500, 1, 60):
             rep = gen_instance("interval", n, seed)
             g = derive_graph(rep)
-            dd = compute_stats(g, omega_cap=None).max_degree
+            dd = compute_stats(g).max_degree
             for (p, q), params in PARAMS.items():
                 span = label_instance(rep, params).span
                 assert span <= max(p, q) * dd, (seed, p, q)
@@ -101,7 +104,7 @@ def test_3_interval_k_and_containment_bounds():
     with _criterion(3, "interval-k-and-containment-bounds"):
         for kind in ("interval_k", "containment"):
             for rep in _connected_corpus(kind, 500, 3, 58):
-                stats = compute_stats(derive_graph(rep), omega_cap=None)
+                stats = compute_stats(derive_graph(rep))
                 for pq, params in PARAMS.items():
                     span = label_instance(rep, params).span
                     assert span <= class_bound(kind, params, stats), (kind, pq)
@@ -112,7 +115,7 @@ def test_3_interval_k_and_containment_bounds():
 def test_4_cointerval_bound_and_pinned_regression(tmp_path):
     with _criterion(4, "cointerval-bound"):
         for rep in _connected_corpus("interval_order", 500, 3, 58):
-            stats = compute_stats(derive_graph(rep), omega_cap=None)
+            stats = compute_stats(derive_graph(rep))
             for pq in ((1, 1), (2, 1), (3, 1), (3, 2)):
                 params = PARAMS[pq]
                 span = label_instance(rep, params).span
@@ -124,7 +127,7 @@ def test_4_cointerval_bound_and_pinned_regression(tmp_path):
         params = LpqParams(1, 5)
         assert exact_lambda(derive_graph(star), params) == 10
         assert class_bound(
-            "interval_order", params, compute_stats(derive_graph(star), omega_cap=None)
+            "interval_order", params, compute_stats(derive_graph(star))
         ) == 3
         inst = tmp_path / "star.json"
         inst.write_bytes(serialize_instance(star))
@@ -144,7 +147,8 @@ def test_5_circular_arc_bounds():
         for seed, n in _sizes(500, 1, 60):
             rep = gen_instance("circular_arc", n, seed)
             g = derive_graph(rep)
-            stats = compute_stats(g)
+            stats = replace(compute_stats(g), omega=clique_number_exact(g))
+            assert arc_clique_number(rep) == stats.omega, seed
             clique_len = len(split_circular(rep).clique_ids)
             for pq, params in PARAMS.items():
                 span = label_instance(rep, params).span
@@ -174,7 +178,7 @@ def test_6_oracle_agreement():
                 g = derive_graph(rep)
                 lam = exact_lambda(g, params)
                 span = label_instance(rep, params).span
-                stats = compute_stats(g)
+                stats = replace(compute_stats(g), omega=clique_number_exact(g))
                 assert lam >= stats.max_degree, (kind, rep)
                 assert lam <= span <= class_bound(kind, params, stats), (kind, rep)
                 if kind in ("interval_k", "containment"):

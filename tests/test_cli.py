@@ -146,6 +146,24 @@ def test_label_report_only_failure_exits_zero(tmp_path, capsys):
     assert "report-only" in doc["note"]
 
 
+def test_label_arc_over_construction_bound_exits_one(tmp_path, capsys):
+    """The paper bound holds, but the arc labeler exceeds its own split
+    construction bound; check, which validates labelings from elsewhere,
+    does not enforce that bound."""
+    inst = _write_instance(tmp_path, gen_instance("circular_arc", 24, 118, density=0.2))
+    out = tmp_path / "lab.json"
+    report = tmp_path / "rep.json"
+    rc = main(
+        ["label", "--in", inst, "--p", "2", "--q", "1", "--out", str(out),
+         "--report", str(report)]
+    )
+    assert rc == 1
+    (doc,) = json.loads(report.read_text())
+    assert (doc["span"], doc["construction_bound"], doc["holds"]) == (20, 18, True)
+    assert "construction bound exceeded: span 20 > 18" in capsys.readouterr().err
+    assert main(["check", "--in", inst, "--labeling", str(out)]) == 0
+
+
 def test_label_missing_file(tmp_path, capsys):
     rc = main(["label", "--in", str(tmp_path / "nope.json"), "--p", "1", "--q", "1"])
     assert rc == 2
@@ -246,6 +264,16 @@ def test_check_rejects_non_integer_fields(tmp_path, capsys, change):
     rc = main(["check", "--in", inst, "--labeling", str(lab)])
     assert rc == 2
     assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["01", " 0", "+1", "0_2", "-0", "\u0661"])
+def test_check_rejects_non_canonical_label_keys(tmp_path, capsys, key):
+    inst = _p3_instance(tmp_path)
+    lab = tmp_path / "lab.json"
+    lab.write_text(json.dumps({"p": 2, "q": 1, "labels": {"0": 0, key: 2, "2": 4}}))
+    rc = main(["check", "--in", inst, "--labeling", str(lab)])
+    assert rc == 2
+    assert "is not a vertex id" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +434,28 @@ def test_bench_skips_oracle_beyond_cap(capsys):
     )
     assert rc == 0
     assert all(row["lambda_exact"] == "" for row in rows)
+
+
+def test_bench_arc_exact_omega_beyond_64(capsys):
+    """At n = 200 and q > p the bound uses the exact omega 11 (47), not the
+    cut clique, which gave 37 below the span 38."""
+    rc = main(["bench", "--class", "circular_arc", "--n", "200", "--density", "0.05",
+               "--seed", "1", "--count", "1", "--pq", "1,2", "--format", "json"])
+    assert rc == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert (row["omega"], row["span"], row["bound"], row["holds"]) == (11, 38, 47, True)
+
+
+def test_bench_arc_construction_bound_fails_run(capsys):
+    """With exact omega 38 the paper bound 250 holds; the run fails only
+    because the span exceeds the split construction's own bound 198."""
+    rc = main(["bench", "--class", "circular_arc", "--n", "1000", "--density", "0.05",
+               "--seed", "75", "--count", "1", "--pq", "2,1", "--format", "json"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    (row,) = json.loads(captured.out)
+    assert (row["omega"], row["span"], row["bound"], row["holds"]) == (38, 204, 250, True)
+    assert "construction bound exceeded: span 204 > 198" in captured.err
 
 
 def test_bench_bad_pq(capsys):

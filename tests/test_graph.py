@@ -136,15 +136,19 @@ def test_stats_c4():
 
 
 def test_stats_triangle():
-    st = compute_stats(build_graph(3, [(0, 1), (1, 2), (0, 2)]), omega_cap=64)
-    assert (st.max_degree, st.multiplicity, st.omega) == (2, 1, 3)
+    g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    st = compute_stats(g)
+    assert (st.max_degree, st.multiplicity, st.omega) == (2, 1, None)
+    assert clique_number_exact(g) == 3
 
 
 def test_stats_eight_edge_instance():
-    st = compute_stats(build_graph(5, THREE_CLASS_EDGES), omega_cap=64)
+    g = build_graph(5, THREE_CLASS_EDGES)
+    st = compute_stats(g)
     assert st.max_degree == 4
     assert st.multiplicity == 3
-    assert st.omega == 3
+    assert st.omega is None
+    assert clique_number_exact(g) == 3
 
 
 def test_stats_multiplicity_matches_brute_force():
@@ -165,13 +169,6 @@ def test_stats_multiplicity_matches_brute_force():
         ]
         assert st.multiplicity_nonadjacent == max(non_adj, default=0)
         assert st.multiplicity_nonadjacent <= st.multiplicity
-
-
-def test_stats_omega_absent_beyond_cap():
-    g = build_graph(5, THREE_CLASS_EDGES)
-    assert compute_stats(g, omega_cap=4).omega is None
-    assert compute_stats(g, omega_cap=None).omega is None
-    assert compute_stats(g).omega == 3
 
 
 def test_is_connected():

@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intervallabel import (
     CircularArcRep,
@@ -14,7 +16,9 @@ from intervallabel import (
     IntervalRep,
     LpqParams,
     RepError,
+    arc_clique_number,
     bound_report,
+    clique_number_exact,
     derive_graph,
     find_2k2,
     gen_instance,
@@ -276,6 +280,33 @@ def test_split_preserves_structure():
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):
                 assert sub.has_edge(a, b) == g.has_edge(ids[a], ids[b])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_arc_clique_number_matches_branch_and_bound(data):
+    """Tiny circles (and the 2**62 one near 0), duplicate arcs, and
+    non-Helly triples: pairwise-meeting arcs with no common point."""
+    circ = data.draw(st.one_of(st.integers(2, 16), st.just(2**62)))
+    point = st.integers(0, 15).map(lambda i: (i - 8) % circ)
+    arc = st.tuples(point, point).filter(lambda a: a[0] != a[1])
+    arcs = data.draw(st.lists(arc, max_size=11))
+    if arcs:
+        arcs += data.draw(st.lists(st.sampled_from(arcs), max_size=14 - len(arcs)))
+    if circ >= 6 and len(arcs) <= 11 and data.draw(st.booleans()):
+        r = data.draw(st.integers(0, circ - 1))
+        x, y, z = r, (r + circ // 3) % circ, (r + 2 * circ // 3) % circ
+        arcs += [(x, y), (y, z), (z, x)]
+    rep = CircularArcRep(tuple(arcs), circ)
+    assert arc_clique_number(rep) == clique_number_exact(derive_graph(rep))
+
+
+def test_arc_clique_number_sparse_sweep():
+    for seed in range(100):
+        n = 30 + seed * 37 % 171
+        rep = gen_instance("circular_arc", n, seed, density=(0.05, 0.1)[seed % 2])
+        g = derive_graph(rep)
+        assert arc_clique_number(rep) == clique_number_exact(g, cap=n), (n, seed)
 
 
 # ---------------------------------------------------------------------------

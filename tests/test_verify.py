@@ -372,15 +372,6 @@ def test_bound_report_circular(twelve_arc_rep):
     assert rpt.to_dict()["construction_bound"] == 10
 
 
-def test_bound_report_circular_omega_fallback(twelve_arc_rep):
-    lab = label_circular_arc(twelve_arc_rep, P21)
-    rpt = bound_report(twelve_arc_rep, lab, P21, omega_cap=1)
-    assert rpt.stats.omega is None
-    assert rpt.formula_value == 10
-    assert rpt.holds
-    assert "cut clique size" in rpt.note
-
-
 # ---------------------------------------------------------------------------
 # structural claims
 
