@@ -75,6 +75,8 @@ BENCH_COLUMNS = (
     "holds",
     "lambda_exact",
     "runtime_us",
+    "report_us",
+    "validate_us",
 )
 
 
@@ -279,9 +281,11 @@ def _bench_instance(task: tuple) -> list[dict[str, Any]]:
         params = LpqParams(p, q)
         t0 = time.perf_counter_ns()
         lab = label_instance(rep, params)
-        runtime_us = (time.perf_counter_ns() - t0) // 1000
+        t1 = time.perf_counter_ns()
         report = bound_report(rep, lab, params)
+        t2 = time.perf_counter_ns()
         bad = bool(validate(g, lab))
+        t3 = time.perf_counter_ns()
         lam = exact_lambda(g, params, n_cap=cap) if g.n <= cap else None
         rows.append(
             {
@@ -297,7 +301,9 @@ def _bench_instance(task: tuple) -> list[dict[str, Any]]:
                 "bound": report.formula_value,
                 "holds": report.holds,
                 "lambda_exact": lam,
-                "runtime_us": runtime_us,
+                "runtime_us": (t1 - t0) // 1000,
+                "report_us": (t2 - t1) // 1000,
+                "validate_us": (t3 - t2) // 1000,
                 "_invalid": bad,
                 "_report_only": report.report_only,
                 "_construction_error": _construction_error(report),

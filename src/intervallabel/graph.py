@@ -36,13 +36,14 @@ class Graph:
     :func:`build_graph` for validated construction from an edge list.
     """
 
-    __slots__ = ("n", "adj_mask", "m", "_dist2")
+    __slots__ = ("n", "adj_mask", "m", "_dist2", "_stats")
 
     def __init__(self, n: int, masks: Sequence[int]):
         self.n = n
         self.adj_mask: tuple[int, ...] = tuple(masks)
         self.m = sum(mk.bit_count() for mk in self.adj_mask) // 2
         self._dist2: tuple[int, ...] | None = None
+        self._stats: GraphStats | None = None
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj_mask[u] >> v & 1)
@@ -85,6 +86,8 @@ class GraphStats:
     ``multiplicity_nonadjacent`` restricts the maximum to non-adjacent
     pairs.  ``omega`` is the exact clique number; :func:`compute_stats`
     leaves it None, and ``verify.bound_report`` fills it in for arcs.
+    :func:`compute_stats` memoises one instance per graph, freed with the
+    graph; it is frozen, so every caller can share it.
     """
 
     n: int
@@ -143,7 +146,16 @@ def is_connected(g: Graph) -> bool:
 
 
 def compute_stats(g: Graph) -> GraphStats:
-    """Degree, multiplicity and connectivity statistics of ``g`` (omega None)."""
+    """Degree, multiplicity and connectivity statistics of ``g`` (omega None).
+
+    Memoised on ``g`` and freed with it.
+    """
+    if g._stats is None:
+        g._stats = _compute_stats(g)
+    return g._stats
+
+
+def _compute_stats(g: Graph) -> GraphStats:
     n = g.n
     degrees = [mk.bit_count() for mk in g.adj_mask]
     mu = 0

@@ -154,11 +154,14 @@ def _require(entry: dict, key: str, vid: Any) -> Any:
 
 def parse_instance(data: bytes | str) -> Representation:
     """Parse an instance document, validating schema and rep invariants."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    # ValueError covers bad UTF-8, bad syntax and integer literals over
+    # the interpreter's digit limit; deep nesting exhausts the recursion
+    # limit inside the decoder.
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InstanceFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError("top-level value must be an object")

@@ -331,11 +331,14 @@ def serialize_labeling(lab: Labeling) -> bytes:
 
 def parse_labeling(data: bytes | str) -> Labeling:
     """Parse a labeling document; labels must cover ids 0..n-1 exactly."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    # ValueError covers bad UTF-8, bad syntax and integer literals over
+    # the interpreter's digit limit; deep nesting exhausts the recursion
+    # limit inside the decoder.
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise LabelingFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise LabelingFormatError("top-level value must be an object")

@@ -22,8 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import ClassVar, Sequence, Union
+from typing import Any, Callable, ClassVar, Sequence, TypeVar, Union, get_args
 
 from .graph import Graph, iter_bits
 
@@ -169,6 +168,19 @@ Representation = Union[
 
 REP_KINDS = ("interval", "interval_k", "circular_arc", "containment", "interval_order")
 
+_T = TypeVar("_T")
+
+
+def _memo(rep: Any, name: str, build: Callable[[Any], _T]) -> _T:
+    """``build(rep)``, computed once and kept in the instance ``__dict__``
+    the way ``functools.cached_property`` keeps it: the frozen dataclass
+    compares, hashes and prints by its fields alone, and the value is
+    freed together with ``rep``."""
+    memo = rep.__dict__
+    if name not in memo:
+        memo[name] = build(rep)
+    return memo[name]
+
 
 def arc_contains_point(s: int, e: int, x: int, circ: int) -> bool:
     """True when the closed arc (s, e) covers the integer point x."""
@@ -189,6 +201,8 @@ def _below(keys: Sequence[int]) -> tuple[list[int], list[int]]:
 def arc_clique_number(rep: CircularArcRep) -> int:
     """Exact clique number of a circular-arc graph, from the arcs alone.
 
+    Memoised on ``rep`` and freed with it.
+
     A shortest arc a of a clique K cannot contain another member
     strictly inside it, so every member of K is no shorter than a and
     covers s_a or e_a.  Both covering sets are cliques, so by König the
@@ -199,6 +213,10 @@ def arc_clique_number(rep: CircularArcRep) -> int:
     one greedily matches the pooled x of smallest outside start above
     its own end, which is a maximum matching because pools only grow.
     """
+    return _memo(rep, "_omega", _arc_clique_number)
+
+
+def _arc_clique_number(rep: CircularArcRep) -> int:
     arcs, circ, n = rep.arcs, rep.circumference, rep.n
     lengths = [(e - s) % circ for s, e in arcs]
     starts, start_masks = _below([s for s, _ in arcs])
@@ -249,9 +267,14 @@ def _arc_covers_gap(s: int, e: int, x: int, circ: int) -> bool:
     return (x - s) % circ + 1 <= (e - s) % circ
 
 
-@lru_cache(maxsize=256)
 def derive_graph(rep: Representation) -> Graph:
-    """Graph induced by a representation (cached; reps are immutable)."""
+    """Graph induced by a representation, memoised on ``rep`` and freed with it."""
+    if not isinstance(rep, get_args(Representation)):
+        raise TypeError(f"unsupported representation type: {type(rep).__name__}")
+    return _memo(rep, "_graph", _derive_graph)
+
+
+def _derive_graph(rep: Representation) -> Graph:
     n = rep.n
     masks = [0] * n
     if isinstance(rep, CircularArcRep):
@@ -293,7 +316,7 @@ def derive_graph(rep: Representation) -> Graph:
                 if ru < lv or rv < lu:
                     masks[u] |= 1 << v
                     masks[v] |= 1 << u
-    elif isinstance(rep, IntervalRep):
+    else:
         for u in range(n):
             lu, ru = iv[u]
             for v in range(u + 1, n):
@@ -301,8 +324,6 @@ def derive_graph(rep: Representation) -> Graph:
                 if max(lu, lv) <= min(ru, rv):
                     masks[u] |= 1 << v
                     masks[v] |= 1 << u
-    else:
-        raise TypeError(f"unsupported representation type: {type(rep).__name__}")
     return Graph(n, masks)
 
 
@@ -331,16 +352,20 @@ class CircularSplit:
     cut: int
 
 
-@lru_cache(maxsize=256)
 def split_circular(rep: CircularArcRep) -> CircularSplit:
     """Cut the circle through a gap crossed by the fewest arcs.
 
     Ties go to the smallest gap coordinate.  Arcs crossing the cut form
     a clique; all others become intervals with endpoints relative to the
-    first integer point after the cut.
+    first integer point after the cut.  Memoised on ``rep`` and freed
+    with it.
     """
     if not isinstance(rep, CircularArcRep):
         raise TypeError(f"expected CircularArcRep, got {type(rep).__name__}")
+    return _memo(rep, "_split", _split_circular)
+
+
+def _split_circular(rep: CircularArcRep) -> CircularSplit:
     circ = rep.circumference
     n = rep.n
     # Arc (s, e) covers the unit gaps s..e-1 (mod circ): coverage changes

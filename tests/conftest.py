@@ -1,9 +1,10 @@
-"""Shared pinned instances.
+"""Shared pinned instances and hostile documents.
 
 The three-class interval instance, the star-shaped interval order and
 the interval star reappear across modules because their derived graphs
 (an 8-edge graph with Delta=4 and mu=3, K_{1,3}, K_{1,3} again) exercise
-every formula with hand-checkable numbers.
+every formula with hand-checkable numbers.  The hostile documents must
+fail both parsers, and every command that reads them, as input errors.
 """
 
 import pytest
@@ -74,3 +75,15 @@ def twelve_arc_rep() -> CircularArcRep:
 def triangle_arc_rep() -> CircularArcRep:
     """Three mutually intersecting arcs (K_3) whose cut clique has size 2."""
     return CircularArcRep(((0, 2), (1, 0), (2, 1)), 3)
+
+
+@pytest.fixture
+def hostile_json() -> dict[str, bytes]:
+    """Documents the JSON decoder itself rejects: undecodable bytes, an
+    integer literal over the interpreter's 4300-digit limit, and arrays
+    nested deeper than the recursion limit."""
+    return {
+        "non-utf8": b'{"class": "interval\xff"}',
+        "long-int": b'{"p": ' + b"1" * 5000 + b"}",
+        "deep": b"[" * 100_000 + b"]" * 100_000,
+    }

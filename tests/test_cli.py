@@ -276,6 +276,26 @@ def test_check_rejects_non_canonical_label_keys(tmp_path, capsys, key):
     assert "is not a vertex id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["non-utf8", "long-int", "deep"])
+@pytest.mark.parametrize("where", ["label", "check-instance", "check-labeling"])
+def test_hostile_json_is_an_input_error(tmp_path, capsys, hostile_json, name, where):
+    """Undecodable bytes, over-long integer literals and deep nesting exit
+    2 with the file named, never 1 (which means a violation was found)."""
+    good = _p3_instance(tmp_path)
+    lab = tmp_path / "lab.json"
+    main(["label", "--in", good, "--p", "2", "--q", "1", "--out", str(lab)])
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(hostile_json[name])
+    argv = {
+        "label": ["label", "--in", str(bad), "--p", "2", "--q", "1"],
+        "check-instance": ["check", "--in", str(bad), "--labeling", str(lab)],
+        "check-labeling": ["check", "--in", good, "--labeling", str(bad)],
+    }[where]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"{bad}: invalid JSON" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
@@ -314,6 +334,10 @@ def _bench_rows(argv, capsys):
     return rc, list(csv.DictReader(io.StringIO(raw)))
 
 
+def _strip_timings(rows):
+    return [{k: v for k, v in row.items() if not k.endswith("_us")} for row in rows]
+
+
 def test_bench_empty_grid_is_header_only(capsys):
     rc = main(["bench", "--class", "interval", "--n", "5", "--seed", "0",
                "--count", "3"])
@@ -321,7 +345,7 @@ def test_bench_empty_grid_is_header_only(capsys):
     out = capsys.readouterr().out
     assert out.splitlines() == [
         "class,seed,n,p,q,max_degree,multiplicity,omega,span,bound,holds,"
-        "lambda_exact,runtime_us"
+        "lambda_exact,runtime_us,report_us,validate_us"
     ]
 
 
@@ -347,10 +371,7 @@ def test_bench_deterministic_modulo_runtime(capsys):
             "--count", "3", "--pq", "2,1"]
     _, a = _bench_rows(argv, capsys)
     _, b = _bench_rows(argv, capsys)
-    strip = lambda rows: [
-        {k: v for k, v in row.items() if k != "runtime_us"} for row in rows
-    ]
-    assert strip(a) == strip(b)
+    assert _strip_timings(a) == _strip_timings(b)
 
 
 def test_bench_jobs_match_serial(capsys):
@@ -358,10 +379,7 @@ def test_bench_jobs_match_serial(capsys):
             "--count", "6", "--pq", "2,1"]
     _, serial = _bench_rows(base + ["--jobs", "1"], capsys)
     _, parallel = _bench_rows(base + ["--jobs", "2"], capsys)
-    strip = lambda rows: [
-        {k: v for k, v in row.items() if k != "runtime_us"} for row in rows
-    ]
-    assert strip(serial) == strip(parallel)
+    assert _strip_timings(serial) == _strip_timings(parallel)
 
 
 def test_bench_json_format(capsys):
@@ -370,6 +388,7 @@ def test_bench_json_format(capsys):
     assert rc == 0
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 2
+    assert all(list(row) == list(cli.BENCH_COLUMNS) for row in rows)
     assert all(isinstance(row["lambda_exact"], int) for row in rows)
     assert all(row["holds"] for row in rows)
 

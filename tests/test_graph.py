@@ -171,6 +171,14 @@ def test_stats_multiplicity_matches_brute_force():
         assert st.multiplicity_nonadjacent <= st.multiplicity
 
 
+def test_stats_memoised_on_the_graph():
+    g = build_graph(8, THREE_CLASS_EDGES)
+    stats = compute_stats(g)
+    assert compute_stats(g) is stats
+    twin = build_graph(8, THREE_CLASS_EDGES)
+    assert compute_stats(twin) == stats and compute_stats(twin) is not stats
+
+
 def test_is_connected():
     assert is_connected(build_graph(3, [(0, 1), (1, 2)]))
     assert not is_connected(build_graph(4, [(0, 1), (2, 3)]))

@@ -88,9 +88,12 @@ def _doc(kind, vertices, **extra):
     return json.dumps(doc)
 
 
-def test_parse_rejects_bad_json():
+def test_parse_rejects_bad_json(hostile_json):
     with pytest.raises(InstanceFormatError, match="invalid JSON"):
         parse_instance(b"{nope")
+    for data in hostile_json.values():
+        with pytest.raises(InstanceFormatError, match="invalid JSON"):
+            parse_instance(data)
 
 
 def test_parse_rejects_unknown_class():

@@ -287,7 +287,7 @@ def test_labeling_round_trip(three_class_rep):
     assert back == lab
 
 
-def test_parse_labeling_errors():
+def test_parse_labeling_errors(hostile_json):
     import json
 
     good = {"p": 2, "q": 1, "labels": {"0": 0, "1": 2}}
@@ -315,6 +315,9 @@ def test_parse_labeling_errors():
         parse_labeling(broken(ordering="012"))
     with pytest.raises(LabelingFormatError, match="invalid JSON"):
         parse_labeling(b"[")
+    for data in hostile_json.values():
+        with pytest.raises(LabelingFormatError, match="invalid JSON"):
+            parse_labeling(data)
     # values are rejected, never coerced (2.7 -> 2, true -> 1, "3" -> 3)
     with pytest.raises(LabelingFormatError, match="'p' must be an integer"):
         parse_labeling(broken(p=2.7))

@@ -1,8 +1,11 @@
 """Representation families: validation, graph derivation, orderings, the
 circular split and the interval-order helpers."""
 
+import gc
 import json
 import random
+import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,7 @@ from intervallabel import (
     split_circular,
     validate,
 )
+from intervallabel import graph, reps
 from intervallabel.reps import arc_contains_point
 
 # ---------------------------------------------------------------------------
@@ -307,6 +311,71 @@ def test_arc_clique_number_sparse_sweep():
         rep = gen_instance("circular_arc", n, seed, density=(0.05, 0.1)[seed % 2])
         g = derive_graph(rep)
         assert arc_clique_number(rep) == clique_number_exact(g, cap=n), (n, seed)
+
+
+# ---------------------------------------------------------------------------
+# memos
+
+
+def test_memos_return_the_same_object(twelve_arc_rep):
+    assert derive_graph(twelve_arc_rep) is derive_graph(twelve_arc_rep)
+    assert split_circular(twelve_arc_rep) is split_circular(twelve_arc_rep)
+
+
+def test_derive_graph_rejects_non_representations():
+    with pytest.raises(TypeError, match="unsupported representation type: tuple"):
+        derive_graph(((0, 1),))
+
+
+def test_equal_reps_keep_their_own_memos():
+    a = gen_instance("circular_arc", 20, 3)
+    b = gen_instance("circular_arc", 20, 3)
+    before = repr(a)
+    g = derive_graph(a)
+    split_circular(a)
+    # the memo leaves the field-only equality, hash and repr alone
+    assert a == b and hash(a) == hash(b) and repr(a) == before
+    assert derive_graph(b) == g and derive_graph(b) is not g
+    assert split_circular(b) == split_circular(a)
+    assert split_circular(b) is not split_circular(a)
+
+
+def test_memos_are_freed_with_the_rep():
+    rep = gen_instance("circular_arc", 40, 5)
+    ref = weakref.ref(rep)
+    derive_graph(rep)
+    for params in (LpqParams(2, 1), LpqParams(1, 2)):
+        bound_report(rep, label_instance(rep, params), params)
+    del rep
+    gc.collect()
+    assert ref() is None
+
+
+def test_bound_report_builds_invariants_once_per_instance(monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        build = getattr(module, name)
+
+        def counted(arg):
+            calls[name] += 1
+            return build(arg)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(graph, "_compute_stats")
+    for name in ("_derive_graph", "_split_circular", "_arc_clique_number"):
+        count(reps, name)
+    rep = gen_instance("circular_arc", 40, 5)
+    for p, q in ((1, 1), (2, 1), (3, 1), (3, 2), (1, 2), (2, 3)):
+        params = LpqParams(p, q)
+        bound_report(rep, label_instance(rep, params), params)
+    assert calls == {
+        "_compute_stats": 1,
+        "_derive_graph": 1,
+        "_split_circular": 1,
+        "_arc_clique_number": 1,
+    }
 
 
 # ---------------------------------------------------------------------------
