@@ -34,6 +34,15 @@ def _draw_interval(
     return l, min(hi, l + rng.randint(0, max_len))
 
 
+def _free_pair_within(used: set[int], lo: int, hi: int, cap: int) -> bool:
+    """Whether two points of [lo, hi] outside ``used`` lie at most ``cap``
+    apart, given that no two adjacent points are both free: then each gap
+    between consecutive used points holds at most one free point."""
+    bounds = [lo - 1, *sorted(used), hi + 1]
+    free = [a + 1 for a, b in zip(bounds, bounds[1:]) if b - a == 2]
+    return any(y - x <= cap for x, y in zip(free, free[1:]))
+
+
 def gen_instance(
     kind: str,
     n: int,
@@ -88,15 +97,27 @@ def gen_instance(
                 f"endpoint range ({lo}, {hi}) has fewer than {2 * n} integer "
                 f"points; containment needs all endpoints distinct"
             )
+        # A draw spans 1..cap; it can succeed while two free points lie
+        # that close.  ``adjacent`` counts free pairs (x, x+1), so the
+        # sorted scan of ``_free_pair_within`` runs only once none is left.
+        cap = None if density is None else max(1, int(density * (hi - lo)))
+        adjacent = hi - lo
         used: set[int] = set()
         iv = []
-        for _ in range(n):
+        for v in range(n):
+            if cap is not None and not adjacent and not _free_pair_within(used, lo, hi, cap):
+                raise ValueError(
+                    f"endpoint range ({lo}, {hi}) has no two free points within "
+                    f"length {cap} (density {density}) for vertex {v}; "
+                    f"containment needs all endpoints distinct"
+                )
             while True:
                 a, b = _draw_interval(rng, lo, hi, density)
                 if a != b and a not in used and b not in used:
                     break
-            used.add(a)
-            used.add(b)
+            for x in (a, b):
+                adjacent -= (lo < x and x - 1 not in used) + (x < hi and x + 1 not in used)
+                used.add(x)
             iv.append((a, b))
         return ContainmentRep(tuple(iv))
 

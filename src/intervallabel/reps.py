@@ -182,11 +182,6 @@ def _memo(rep: Any, name: str, build: Callable[[Any], _T]) -> _T:
     return memo[name]
 
 
-def arc_contains_point(s: int, e: int, x: int, circ: int) -> bool:
-    """True when the closed arc (s, e) covers the integer point x."""
-    return (x - s) % circ <= (e - s) % circ
-
-
 def _below(keys: Sequence[int]) -> tuple[list[int], list[int]]:
     """Sorted ``keys`` and prefix masks: ``masks[i]`` holds the vertices
     of the i smallest keys, so ``masks[bisect_left(vals, t)]`` is the set
@@ -216,20 +211,29 @@ def arc_clique_number(rep: CircularArcRep) -> int:
     return _memo(rep, "_omega", _arc_clique_number)
 
 
-def _arc_clique_number(rep: CircularArcRep) -> int:
-    arcs, circ, n = rep.arcs, rep.circumference, rep.n
-    lengths = [(e - s) % circ for s, e in arcs]
+def _arc_cover(
+    arcs: Sequence[tuple[int, int]],
+) -> tuple[list[int], list[int], Callable[[int], int]]:
+    """Sorted arc starts, their ``_below`` masks, and ``cover(x)``: the
+    mask of arcs covering the point x.  A plain arc covers x when
+    s <= x <= e, a wrapping one (s > e) when either inequality holds."""
     starts, start_masks = _below([s for s, _ in arcs])
     ends, end_masks = _below([e for _, e in arcs])
-    neg_len, long_masks = _below([-length for length in lengths])
-    full = (1 << n) - 1
     wraps = sum(1 << v for v, (s, e) in enumerate(arcs) if s > e)
 
     def cover(x: int) -> int:
         s_le = start_masks[bisect_right(starts, x)]
-        e_ge = full & ~end_masks[bisect_left(ends, x)]
+        e_ge = end_masks[-1] ^ end_masks[bisect_left(ends, x)]
         return (s_le & e_ge) | (wraps & (s_le | e_ge))
 
+    return starts, start_masks, cover
+
+
+def _arc_clique_number(rep: CircularArcRep) -> int:
+    arcs, circ = rep.arcs, rep.circumference
+    lengths = [(e - s) % circ for s, e in arcs]
+    _, _, cover = _arc_cover(arcs)
+    neg_len, long_masks = _below([-length for length in lengths])
     best = 0
     for a, (sa, ea) in enumerate(arcs):
         long = long_masks[bisect_right(neg_len, -lengths[a])]
@@ -268,63 +272,58 @@ def _arc_covers_gap(s: int, e: int, x: int, circ: int) -> bool:
 
 
 def derive_graph(rep: Representation) -> Graph:
-    """Graph induced by a representation, memoised on ``rep`` and freed with it."""
+    """Graph induced by a representation, memoised on ``rep`` and freed with it.
+
+    Adjacency compares endpoints, so each neighbourhood is a few prefix
+    sets of the vertices sorted by an endpoint (``_below``): one
+    O(n log n) sort, then O(n) word operations per vertex, with no loop
+    over vertex pairs.  Arcs use the coverage helper of ω.
+    """
     if not isinstance(rep, get_args(Representation)):
         raise TypeError(f"unsupported representation type: {type(rep).__name__}")
     return _memo(rep, "_graph", _derive_graph)
 
 
 def _derive_graph(rep: Representation) -> Graph:
-    n = rep.n
-    masks = [0] * n
+    masks = []
     if isinstance(rep, CircularArcRep):
-        circ = rep.circumference
-        arcs = rep.arcs
-        for u in range(n):
-            su, eu = arcs[u]
-            lu = (eu - su) % circ
-            for v in range(u + 1, n):
-                sv, ev = arcs[v]
-                if (sv - su) % circ <= lu or (su - sv) % circ <= (ev - sv) % circ:
-                    masks[u] |= 1 << v
-                    masks[v] |= 1 << u
-        return Graph(n, masks)
+        # the arcs whose start lies in arc v, plus those covering s_v
+        starts, start_masks, cover = _arc_cover(rep.arcs)
+        for v, (s, e) in enumerate(rep.arcs):
+            # the starts in [s, e]; for a wrapping arc (s > e) the XOR
+            # leaves the starts in (e, s), which lie outside it
+            between = start_masks[bisect_right(starts, e)]
+            between ^= start_masks[bisect_left(starts, s)]
+            inside = between if s <= e else start_masks[-1] ^ between
+            masks.append((inside | cover(s)) & ~(1 << v))
+        return Graph(rep.n, masks)
 
-    iv = rep.intervals
+    starts, start_masks = _below([l for l, _ in rep.intervals])
+    ends, end_masks = _below([r for _, r in rep.intervals])
+    full = start_masks[-1]
+    own = [1 << v for v in range(rep.n)]
     if isinstance(rep, IntervalKRep):
-        cls = rep.classes
-        for u in range(n):
-            lu, ru = iv[u]
-            for v in range(u + 1, n):
-                lv, rv = iv[v]
-                if cls[u] != cls[v] and max(lu, lv) <= min(ru, rv):
-                    masks[u] |= 1 << v
-                    masks[v] |= 1 << u
-    elif isinstance(rep, ContainmentRep):
-        for u in range(n):
-            lu, ru = iv[u]
-            for v in range(u + 1, n):
-                lv, rv = iv[v]
-                if (lu < lv and rv < ru) or (lv < lu and ru < rv):
-                    masks[u] |= 1 << v
-                    masks[v] |= 1 << u
-    elif isinstance(rep, IntervalOrderRep):
-        for u in range(n):
-            lu, ru = iv[u]
-            for v in range(u + 1, n):
-                lv, rv = iv[v]
-                if ru < lv or rv < lu:
-                    masks[u] |= 1 << v
-                    masks[v] |= 1 << u
-    else:
-        for u in range(n):
-            lu, ru = iv[u]
-            for v in range(u + 1, n):
-                lv, rv = iv[v]
-                if max(lu, lv) <= min(ru, rv):
-                    masks[u] |= 1 << v
-                    masks[v] |= 1 << u
-    return Graph(n, masks)
+        same: dict[int, int] = {}
+        for v, c in enumerate(rep.classes):
+            same[c] = same.get(c, 0) | 1 << v
+        own = [same[c] for c in rep.classes]
+    for v, (l, r) in enumerate(rep.intervals):
+        start_le_r = start_masks[bisect_right(starts, r)]
+        end_lt_l = end_masks[bisect_left(ends, l)]
+        if isinstance(rep, ContainmentRep):
+            # strictly inside v, or strictly around it
+            start_gt_l = full ^ start_masks[bisect_right(starts, l)]
+            end_gt_r = full ^ end_masks[bisect_right(ends, r)]
+            masks.append(
+                (start_gt_l & end_masks[bisect_left(ends, r)])
+                | (start_masks[bisect_left(starts, l)] & end_gt_r)
+            )
+        elif isinstance(rep, IntervalOrderRep):
+            masks.append(end_lt_l | (full ^ start_le_r))
+        else:
+            # meets v, minus v itself or, for interval_k, v's class
+            masks.append(start_le_r & ~end_lt_l & ~own[v])
+    return Graph(rep.n, masks)
 
 
 def rightpoint_order_desc(rep: Representation) -> list[int]:

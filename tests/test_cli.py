@@ -91,6 +91,23 @@ def test_gen_containment_range_too_small(tmp_path, capsys):
     assert "fewer than 100 integer points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--n", "10", "--endpoint-range", "0", "19", "--density", "0.01"],
+        ["bench", "--n", "6", "--endpoint-range", "0", "11", "--density", "0.05",
+         "--pq", "2,1"],
+    ],
+    ids=["gen", "bench"],
+)
+def test_containment_without_room_for_a_draw_exits_2(tmp_path, capsys, argv):
+    out = ["--out", str(tmp_path / "d")] if argv[0] == "gen" else []
+    assert main([*argv, "--class", "containment", "--seed", "0", *out]) == 2
+    err = capsys.readouterr().err
+    assert "no two free points within length 1" in err
+    assert err.count("\n") == 1
+
+
 def test_unknown_class_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--class", "tree", "--n", "3", "--seed", "0",

@@ -42,6 +42,9 @@ def test_gen_single_interval_is_k1():
 def test_gen_containment_needs_room():
     with pytest.raises(ValueError, match="fewer than 100 integer points"):
         gen_instance("containment", 50, 0, endpoint_range=(0, 10))
+    # enough points, but the length cap 1 leaves no two free ones that close
+    with pytest.raises(ValueError, match="no two free points within length 1"):
+        gen_instance("containment", 10, 0, endpoint_range=(0, 19), density=0.01)
 
 
 def test_gen_rejects_unknown_kind():

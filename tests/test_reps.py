@@ -34,7 +34,7 @@ from intervallabel import (
     validate,
 )
 from intervallabel import graph, reps
-from intervallabel.reps import arc_contains_point
+from intervallabel.reps import REP_KINDS
 
 # ---------------------------------------------------------------------------
 # invariants
@@ -74,6 +74,89 @@ def test_containment_rejects_shared_endpoint():
 # graph derivation
 
 
+def arc_contains_point(s, e, x, circ):
+    """True when the closed arc (s, e) covers the integer point x."""
+    return (x - s) % circ <= (e - s) % circ
+
+
+def _adjacent(rep, u, v):
+    """The five families' adjacency, one vertex pair at a time."""
+    if isinstance(rep, CircularArcRep):
+        (su, eu), (sv, ev) = rep.arcs[u], rep.arcs[v]
+        circ = rep.circumference
+        return arc_contains_point(su, eu, sv, circ) or arc_contains_point(sv, ev, su, circ)
+    (lu, ru), (lv, rv) = rep.intervals[u], rep.intervals[v]
+    if isinstance(rep, ContainmentRep):
+        return (lu < lv and rv < ru) or (lv < lu and ru < rv)
+    if isinstance(rep, IntervalOrderRep):
+        return ru < lv or rv < lu
+    meet = max(lu, lv) <= min(ru, rv)
+    if isinstance(rep, IntervalKRep):
+        return meet and rep.classes[u] != rep.classes[v]
+    return meet
+
+
+def _pairwise_masks(rep):
+    """Reference adjacency masks from a plain loop over vertex pairs."""
+    masks = [0] * rep.n
+    for u in range(rep.n):
+        for v in range(u + 1, rep.n):
+            if _adjacent(rep, u, v):
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+    return tuple(masks)
+
+
+def _with_duplicates(data, items, limit):
+    """``items`` plus up to ``limit - len(items)`` copies drawn from them."""
+    if not items:
+        return items
+    return items + data.draw(st.lists(st.sampled_from(items), max_size=limit - len(items)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_derive_graph_matches_pairwise_reference(data):
+    """Touching, duplicate and degenerate [x, x] intervals over a small
+    coordinate range, n from 0, two or three classes, and wrapping arcs
+    on circles of circumference 2..8 and 2**62."""
+    kind = data.draw(st.sampled_from(REP_KINDS))
+    if kind == "circular_arc":
+        circ = data.draw(st.one_of(st.just(2), st.integers(3, 8), st.just(2**62)))
+        point = st.integers(0, 9).map(lambda i: (i - 5) % circ)
+        arc = st.tuples(point, point).filter(lambda a: a[0] != a[1])
+        arcs = _with_duplicates(data, data.draw(st.lists(arc, max_size=9)), 12)
+        rep = CircularArcRep(tuple(arcs), circ)
+    elif kind == "containment":
+        ends = data.draw(st.lists(st.integers(-4, 16), unique=True, max_size=18))
+        rep = ContainmentRep(
+            tuple(sorted(ends[i : i + 2]) for i in range(0, len(ends) - 1, 2))
+        )
+    else:
+        point = st.integers(-2, 6)
+        iv = st.tuples(point, point).map(sorted)
+        intervals = tuple(_with_duplicates(data, data.draw(st.lists(iv, max_size=9)), 12))
+        if kind == "interval_k":
+            k = data.draw(st.integers(2, 3))
+            classes = data.draw(
+                st.lists(st.integers(1, k), min_size=len(intervals), max_size=len(intervals))
+            )
+            rep = IntervalKRep(intervals, tuple(classes), k)
+        else:
+            rep = {"interval": IntervalRep, "interval_order": IntervalOrderRep}[kind](intervals)
+    assert derive_graph(rep).adj_mask == _pairwise_masks(rep)
+
+
+def test_derive_graph_matches_pairwise_on_generated_instances():
+    """Generated instances up to n = 300, without a density and at 0.05,
+    0.2 and 0.5."""
+    for kind in REP_KINDS:
+        for density in (None, 0.05, 0.2, 0.5):
+            for n in (1, 37, 300):
+                rep = gen_instance(kind, n, n + 7, density=density)
+                assert derive_graph(rep).adj_mask == _pairwise_masks(rep), (kind, density, n)
+
+
 def test_derive_three_class_instance(three_class_rep):
     g = derive_graph(three_class_rep)
     assert sorted(g.edges()) == [
@@ -104,16 +187,39 @@ def test_order_star(star_order_rep):
     assert sorted(g.edges()) == [(0, 1), (0, 2), (0, 3)]
 
 
+def _assert_complement_is_intersection(rep):
+    g = derive_graph(rep)
+    iv = rep.intervals
+    for u in range(rep.n):
+        for v in range(u + 1, rep.n):
+            intersect = max(iv[u][0], iv[v][0]) <= min(iv[u][1], iv[v][1])
+            assert g.has_edge(u, v) == (not intersect)
+
+
 def test_order_complement_is_intersection_graph():
     """Non-adjacent pairs are exactly the intersecting interval pairs."""
     for seed in range(60):
-        rep = gen_instance("interval_order", 14, seed)
-        g = derive_graph(rep)
-        iv = rep.intervals
-        for u in range(rep.n):
-            for v in range(u + 1, rep.n):
-                intersect = max(iv[u][0], iv[v][0]) <= min(iv[u][1], iv[v][1])
-                assert g.has_edge(u, v) == (not intersect)
+        _assert_complement_is_intersection(gen_instance("interval_order", 14, seed))
+    for density in (0.05, 0.2, 0.5):
+        for seed in range(10):
+            _assert_complement_is_intersection(
+                gen_instance("interval_order", 14, seed, density=density)
+            )
+
+
+@pytest.mark.parametrize(
+    "intervals",
+    [
+        (),
+        ((3, 3),),
+        ((0, 2), (2, 4), (4, 4), (4, 4), (0, 2)),
+        ((1, 1), (1, 1), (2, 2), (0, 5)),
+    ],
+    ids=["empty", "single", "touching-duplicate", "degenerate"],
+)
+def test_order_complement_of_edge_cases(intervals):
+    """Touching, duplicate and degenerate intervals, and n 0 and 1."""
+    _assert_complement_is_intersection(IntervalOrderRep(intervals))
 
 
 def test_order_graphs_are_2k2_free():
