@@ -8,6 +8,7 @@ exact oracles stays cheap even for the sweep harnesses.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -84,7 +85,9 @@ class GraphStats:
     ``multiplicity`` is the maximum number of common neighbors over all
     unordered pairs of distinct vertices, adjacent or not;
     ``multiplicity_nonadjacent`` restricts the maximum to non-adjacent
-    pairs.  ``omega`` is the exact clique number; :func:`compute_stats`
+    pairs (0 when no two non-adjacent vertices share a neighbor).  Both
+    are exact; :func:`compute_stats` finds them without trying every
+    pair.  ``omega`` is the exact clique number; :func:`compute_stats`
     leaves it None, and ``verify.bound_report`` fills it in for arcs.
     :func:`compute_stats` memoises one instance per graph, freed with the
     graph; it is frozen, so every caller can share it.
@@ -148,28 +151,59 @@ def is_connected(g: Graph) -> bool:
 def compute_stats(g: Graph) -> GraphStats:
     """Degree, multiplicity and connectivity statistics of ``g`` (omega None).
 
-    Memoised on ``g`` and freed with it.
+    Memoised on ``g`` and freed with it.  The multiplicities come from a
+    scan pruned by degree (see ``_multiplicities``); the non-adjacent one
+    reads the memoised :meth:`Graph.dist2_masks`.
     """
     if g._stats is None:
         g._stats = _compute_stats(g)
     return g._stats
 
 
-def _compute_stats(g: Graph) -> GraphStats:
-    n = g.n
-    degrees = [mk.bit_count() for mk in g.adj_mask]
-    mu = 0
-    mu_nonadj = 0
-    for u in range(n):
-        mask_u = g.adj_mask[u]
-        for v in range(u + 1, n):
-            common = (mask_u & g.adj_mask[v]).bit_count()
-            if common > mu:
-                mu = common
-            if common > mu_nonadj and not mask_u >> v & 1:
+def _multiplicities(g: Graph, degrees: Sequence[int]) -> tuple[int, int]:
+    """(mu, mu_nonadj): the most common neighbors of a pair of distinct
+    vertices, and of a non-adjacent pair.
+
+    A pair shares at most min(deg u, deg v) neighbors, and an adjacent
+    pair one fewer (each is the other's neighbor).  So the vertices are
+    visited by non-increasing degree, each u is paired only with later
+    vertices whose degree can still beat the running maximum, and the
+    scan stops once deg u <= mu_nonadj (<= mu): no pair left can beat
+    either.  Non-adjacent pairs with a common neighbor are the distance-2
+    pairs.  "Degree above t" is a prefix of the visiting order, found by
+    bisect.
+    """
+    adj = g.adj_mask
+    d2 = g.dist2_masks()
+    order = sorted(range(g.n), key=lambda v: -degrees[v])
+    neg_deg = [-degrees[v] for v in order]
+    prefix = [0]
+    for v in order:
+        prefix.append(prefix[-1] | 1 << v)
+    mu = mu_nonadj = 0
+    for i, u in enumerate(order):
+        du = degrees[u]
+        if du <= mu_nonadj:
+            break
+        visited = prefix[i + 1]
+        if du > mu + 1:
+            for v in iter_bits(adj[u] & prefix[bisect_left(neg_deg, -mu - 1)] & ~visited):
+                common = (adj[u] & adj[v]).bit_count()
+                if common > mu:
+                    mu = common
+        for v in iter_bits(d2[u] & prefix[bisect_left(neg_deg, -mu_nonadj)] & ~visited):
+            common = (adj[u] & adj[v]).bit_count()
+            if common > mu_nonadj:
                 mu_nonadj = common
+        mu = max(mu, mu_nonadj)
+    return mu, mu_nonadj
+
+
+def _compute_stats(g: Graph) -> GraphStats:
+    degrees = [mk.bit_count() for mk in g.adj_mask]
+    mu, mu_nonadj = _multiplicities(g, degrees)
     return GraphStats(
-        n=n,
+        n=g.n,
         m=g.m,
         max_degree=max(degrees, default=0),
         min_degree=min(degrees, default=0),

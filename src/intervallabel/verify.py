@@ -1,14 +1,17 @@
 """Validation, exact oracles and structural-claim checks.
 
 Everything here is deliberately independent of the greedy labelers: the
-validator re-derives distances from the graph, the exact oracles search
-label space directly, and the clique/coloring routines use separate
-branch-and-bound code paths.  That way a bug in a labeler cannot hide
-behind shared machinery.
+validator reads only the adjacency masks and looks up, per vertex, the
+vertices whose labels lie close to its own (label windows over the
+sorted labels), so it never touches the distance-2 masks the labelers
+share; the exact oracles search label space directly, and the
+clique/coloring routines use separate branch-and-bound code paths.  That
+way a bug in a labeler cannot hide behind shared machinery.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
@@ -36,6 +39,7 @@ from .reps import (
     IntervalOrderRep,
     IntervalRep,
     Representation,
+    _below,
     arc_clique_number,
     derive_graph,
     minimal_elements,
@@ -83,6 +87,14 @@ def validate(
     a common neighbor (adjacent or not), L3 at distance <= 2.  Under L2
     and L3 an adjacent pair can therefore owe both p and q; the clauses
     are checked independently and can each produce a violation.
+
+    Violations come by u, then the edge clauses in ascending v, then the
+    q clause of the non-edge (L2: every) pairs in ascending v, always
+    with u < v.  Only the pairs whose labels differ by less than p or q
+    are ever looked at: per vertex, two label windows are cut from prefix
+    masks over the sorted labels, so the cost grows with the number of
+    label-close pairs, not with n squared or with the label values (an
+    all-equal labeling still costs O(n^2) mask operations).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -91,27 +103,40 @@ def validate(
     p = params.p if params is not None else lab.p
     q = params.q if params is not None else lab.q
     labels = lab.labels
-    d2 = g.dist2_masks()
+    adj = g.adj_mask
+    vals, masks = _below(labels)
+
+    def windows(sep: int) -> list[int]:
+        # per vertex, the vertices whose label lies within sep - 1 of its own
+        if sep < 1:
+            return [0] * g.n
+        return [
+            masks[bisect_right(vals, f + sep - 1)] ^ masks[bisect_left(vals, f - sep + 1)]
+            for f in labels
+        ]
+
+    win_p = windows(p)
+    win_q = win_p if q == p else windows(q)
+    q_kind = "common-neighbor" if variant == "L2" else "distance2"
     out: list[Violation] = []
     for u in range(g.n):
-        above = ~((1 << (u + 1)) - 1)
-        for v in iter_bits(g.adj_mask[u] & above):
-            gap = abs(labels[u] - labels[v])
-            if gap < p:
-                out.append(Violation("adjacent", u, v, p, gap))
-            if variant == "L3" and gap < q:
-                out.append(Violation("distance2", u, v, q, gap))
-        if variant == "L2":
-            for v in range(u + 1, g.n):
-                if g.adj_mask[u] & g.adj_mask[v]:
-                    gap = abs(labels[u] - labels[v])
-                    if gap < q:
-                        out.append(Violation("common-neighbor", u, v, q, gap))
-        else:
-            for v in iter_bits(d2[u] & above):
-                gap = abs(labels[u] - labels[v])
-                if gap < q:
+        fu = labels[u]
+        later = ~((2 << u) - 1)
+        wp = win_p[u] & later
+        wq = win_q[u] & later
+        near = adj[u] & (wp | wq if variant == "L3" else wp)
+        if near:
+            for v in iter_bits(near):
+                gap = abs(fu - labels[v])
+                if wp >> v & 1:
+                    out.append(Violation("adjacent", u, v, p, gap))
+                if variant == "L3" and wq >> v & 1:
                     out.append(Violation("distance2", u, v, q, gap))
+        far = wq if variant == "L2" else wq & ~adj[u]
+        if far:
+            for v in iter_bits(far):
+                if adj[u] & adj[v]:
+                    out.append(Violation(q_kind, u, v, q, abs(fu - labels[v])))
     return out
 
 
@@ -147,11 +172,10 @@ def _feasible(
     d2 = g.dist2_masks()
 
     full = (1 << (span + 1)) - 1
-    pmask = [0] * (span + 1)
-    qmask = [0] * (span + 1)
-    for j in range(span + 1):
-        pmask[j] = (((1 << (2 * p - 1)) - 1) << max(0, j - p + 1) >> max(0, p - 1 - j)) & full
-        qmask[j] = (((1 << (2 * q - 1)) - 1) << max(0, j - q + 1) >> max(0, q - 1 - j)) & full
+    # Label j bars the labels within p - 1 (q - 1) of it: the window of
+    # 2p - 1 (2q - 1) bits centred on j, clipped at 0 by the right shift.
+    pwin = (1 << (2 * p - 1)) - 1
+    qwin = (1 << (2 * q - 1)) - 1
 
     domains = [full] * n
     anchor = max(range(n), key=lambda v: ((adj[v] | d2[v]).bit_count(), -v))
@@ -188,6 +212,7 @@ def _feasible(
                 if size <= 1:
                     break
         rest = unassigned ^ (1 << v)
+        near, far = adj[v] & rest, d2[v] & rest
         avail = doms[v]
         while avail:
             lsb = avail & -avail
@@ -195,14 +220,17 @@ def _feasible(
             avail ^= lsb
             nd = list(doms)
             ok = True
-            for u in iter_bits(adj[v] & rest):
-                nd[u] &= ~pmask[j]
-                if nd[u] == 0:
-                    ok = False
-                    break
-            if ok:
-                for u in iter_bits(d2[v] & rest):
-                    nd[u] &= ~qmask[j]
+            if near:
+                keep = ~(pwin << j >> (p - 1))
+                for u in iter_bits(near):
+                    nd[u] &= keep
+                    if nd[u] == 0:
+                        ok = False
+                        break
+            if ok and far:
+                keep = ~(qwin << j >> (q - 1))
+                for u in iter_bits(far):
+                    nd[u] &= keep
                     if nd[u] == 0:
                         ok = False
                         break

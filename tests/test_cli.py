@@ -3,11 +3,13 @@
 import csv
 import json
 import io
+import time
 
 import pytest
 
 from intervallabel import (
     IntervalOrderRep,
+    derive_graph,
     gen_instance,
     parse_labeling,
     serialize_instance,
@@ -291,6 +293,45 @@ def test_check_rejects_non_canonical_label_keys(tmp_path, capsys, key):
     rc = main(["check", "--in", inst, "--labeling", str(lab)])
     assert rc == 2
     assert "is not a vertex id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc_pq, flags, step, kind",
+    [
+        ((10**18, 1), [], 10**6, "adjacent"),
+        ((2, 10**18), [], 10**6, "distance2"),
+        ((2, 1), ["--p", str(10**18), "--q", "1"], 10**6, "adjacent"),
+        ((2, 1), ["--p", "1", "--q", str(10**18)], 10**6, "distance2"),
+        ((2, 1), [], 10**30, None),
+        ((10**18, 10**18), [], 10**30, None),
+    ],
+    ids=["p-in-doc", "q-in-doc", "p-flag", "q-flag", "labels-apart", "all-huge"],
+)
+def test_check_huge_separations_and_labels(tmp_path, capsys, doc_pq, flags, step, kind):
+    """p or q of 10**18, from the document or the flags, and labels 10**30
+    apart: the answer comes at once, without a walk over label values.
+    A huge p (q) flags every edge (distance-2 pair); labels 10**30 apart
+    violate nothing but exceed the span bound.  Both exit 1."""
+    rep = gen_instance("interval", 60, 3)
+    g = derive_graph(rep)
+    inst = _write_instance(tmp_path, rep)
+    lab = tmp_path / "lab.json"
+    labels = {str(v): v * step for v in range(g.n)}
+    lab.write_text(json.dumps({"p": doc_pq[0], "q": doc_pq[1], "labels": labels}))
+    t0 = time.perf_counter()
+    rc = main(["check", "--in", inst, "--labeling", str(lab)] + flags)
+    elapsed = time.perf_counter() - t0
+    doc = json.loads(capsys.readouterr().out)
+    expected = {
+        "adjacent": g.m,
+        "distance2": sum(mk.bit_count() for mk in g.dist2_masks()) // 2,
+        None: 0,
+    }[kind]
+    assert rc == 1
+    assert {v["kind"] for v in doc["violations"]} == ({kind} if kind else set())
+    assert len(doc["violations"]) == expected
+    assert doc["report"]["holds"] is (kind is not None)
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("name", ["non-utf8", "long-int", "deep"])

@@ -14,11 +14,13 @@ from intervallabel import (
     derive_graph,
     dist2_set,
     find_2k2,
+    gen_instance,
     is_2k2_free,
     is_connected,
     square,
 )
 from intervallabel.graph import greedy_clique_mask, iter_bits
+from intervallabel.reps import REP_KINDS
 
 THREE_CLASS_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)]
 
@@ -169,6 +171,76 @@ def test_stats_multiplicity_matches_brute_force():
         ]
         assert st.multiplicity_nonadjacent == max(non_adj, default=0)
         assert st.multiplicity_nonadjacent <= st.multiplicity
+
+
+def _reference_multiplicities(g):
+    """(mu, mu_nonadj) by the plain loop over all vertex pairs."""
+    mu = mu_nonadj = 0
+    for u in range(g.n):
+        mask_u = g.adj_mask[u]
+        for v in range(u + 1, g.n):
+            common = (mask_u & g.adj_mask[v]).bit_count()
+            mu = max(mu, common)
+            if not mask_u >> v & 1:
+                mu_nonadj = max(mu_nonadj, common)
+    return mu, mu_nonadj
+
+
+def _multiplicities(g):
+    st = compute_stats(g)
+    return st.multiplicity, st.multiplicity_nonadjacent
+
+
+def test_multiplicities_match_pair_loop_on_generated_instances():
+    """All five classes without a density and at 0.05, 0.2 and 0.5, up to
+    n = 150, plus dense intervals crowded into a short range (where an
+    early exit by bit order once gave a wrong mu_nonadj)."""
+    reps = [
+        gen_instance(kind, n, 100 * n + seed, density=density)
+        for kind in REP_KINDS
+        for density in (None, 0.05, 0.2, 0.5)
+        for n, seed in ((7, 0), (40, 1), (150, 2))
+    ]
+    reps += [
+        gen_instance("interval", n, seed, endpoint_range=(0, span))
+        for n, span in ((30, 6), (90, 20), (150, 40))
+        for seed in range(3)
+    ]
+    for rep in reps:
+        g = derive_graph(rep)
+        assert _multiplicities(g) == _reference_multiplicities(g), rep
+
+
+def test_multiplicities_edge_cases():
+    """n 0-2, regular graphs (every degree tied), empty and complete."""
+
+    def cycle(n):
+        return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+    petersen = build_graph(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, 5 + i) for i in range(5)],
+    )
+    k33 = build_graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    cases = {
+        "n0": (build_graph(0, []), (0, 0)),
+        "n1": (build_graph(1, []), (0, 0)),
+        "n2 edge": (build_graph(2, [(0, 1)]), (0, 0)),
+        "n2 no edge": (build_graph(2, []), (0, 0)),
+        "empty": (build_graph(6, []), (0, 0)),
+        "complete": (build_graph(6, itertools.combinations(range(6), 2)), (4, 0)),
+        "C4": (cycle(4), (2, 2)),
+        "C5": (cycle(5), (1, 1)),
+        "C9": (cycle(9), (1, 1)),
+        "petersen": (petersen, (1, 1)),
+        "K33": (k33, (3, 3)),
+        "triangle": (cycle(3), (1, 0)),
+    }
+    for name, (g, expected) in cases.items():
+        assert _reference_multiplicities(g) == expected, name
+        assert _multiplicities(g) == expected, name
 
 
 def test_stats_memoised_on_the_graph():

@@ -3,10 +3,12 @@ reports and structural-claim checks.
 
 The brute-force reference oracles in this file share no code with the
 package's search: distances come from BFS and feasibility from a plain
-recursive enumeration.
+recursive enumeration.  The reference validator is the plain loop over
+vertex pairs that the label-window validator replaced.
 """
 
 import random
+import tracemalloc
 from collections import deque
 from itertools import combinations
 
@@ -21,6 +23,7 @@ from intervallabel import (
     IntervalRep,
     Labeling,
     LpqParams,
+    Violation,
     bound_report,
     build_graph,
     check_structural_claims,
@@ -34,6 +37,8 @@ from intervallabel import (
     label_instance,
     validate,
 )
+from intervallabel.graph import iter_bits
+from intervallabel.reps import REP_KINDS
 from intervallabel.verify import _lambda_dp, _lambda_path_dp
 
 P21 = LpqParams(2, 1)
@@ -97,6 +102,82 @@ def _naive_lambda(n, edges, p, q):
 
 # ---------------------------------------------------------------------------
 # validate
+
+
+def _reference_validate(g, lab, params=None, variant="L1"):
+    """Every violation by a loop over the edges, the distance-2 masks and
+    (L2) all later vertices, in the order ``validate`` reports them."""
+    p = params.p if params is not None else lab.p
+    q = params.q if params is not None else lab.q
+    labels = lab.labels
+    d2 = g.dist2_masks()
+    out = []
+    for u in range(g.n):
+        above = ~((1 << (u + 1)) - 1)
+        for v in iter_bits(g.adj_mask[u] & above):
+            gap = abs(labels[u] - labels[v])
+            if gap < p:
+                out.append(Violation("adjacent", u, v, p, gap))
+            if variant == "L3" and gap < q:
+                out.append(Violation("distance2", u, v, q, gap))
+        if variant == "L2":
+            for v in range(u + 1, g.n):
+                if g.adj_mask[u] & g.adj_mask[v]:
+                    gap = abs(labels[u] - labels[v])
+                    if gap < q:
+                        out.append(Violation("common-neighbor", u, v, q, gap))
+        else:
+            for v in iter_bits(d2[u] & above):
+                gap = abs(labels[u] - labels[v])
+                if gap < q:
+                    out.append(Violation("distance2", u, v, q, gap))
+    return out
+
+
+_SEP = st.one_of(st.integers(1, 5), st.just(2**62))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_validate_matches_pairwise_reference(data):
+    """Full violation lists, order included: all five classes and random
+    graphs at n 0-40, L1/L2/L3, with and without a ``params`` override,
+    greedy labelings with planted faults (swapped, equalised and +-1
+    labels) or labels drawn from a narrow range, shifted to negative
+    values or near 2**62."""
+    source = data.draw(st.sampled_from(REP_KINDS + ("random",)))
+    seed = data.draw(st.integers(0, 10**6))
+    own = LpqParams(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)))
+    if source == "random":
+        n = data.draw(st.integers(0, 40))
+        rng = random.Random(seed)
+        density = rng.random()
+        g = build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+        labels = list(greedy_lpq(g, range(n), own).labels)
+    else:
+        n = data.draw(st.integers(1, 40))
+        density = data.draw(st.sampled_from((None, 0.1, 0.3)))
+        rep = gen_instance(source, n, seed, density=density)
+        g = derive_graph(rep)
+        labels = list(label_instance(rep, own).labels)
+    if n and data.draw(st.booleans()):
+        labels = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    vertex = st.integers(0, max(n - 1, 0))
+    for fault in data.draw(st.lists(st.sampled_from(("swap", "equal", "nudge")), max_size=4)):
+        if not n:
+            break
+        a, b = data.draw(vertex), data.draw(vertex)
+        if fault == "swap":
+            labels[a], labels[b] = labels[b], labels[a]
+        elif fault == "equal":
+            labels[a] = labels[b]
+        else:
+            labels[a] += data.draw(st.sampled_from((-1, 1)))
+    shift = data.draw(st.sampled_from((0, -100, 2**62 - 50, -(2**62))))
+    lab = Labeling(tuple(x + shift for x in labels), own.p, own.q)
+    params = data.draw(st.one_of(st.none(), st.builds(LpqParams, _SEP, _SEP)))
+    variant = data.draw(st.sampled_from(("L1", "L2", "L3")))
+    assert validate(g, lab, params, variant) == _reference_validate(g, lab, params, variant)
 
 
 def test_validate_path_pins():
@@ -207,6 +288,20 @@ def test_exact_lambda_pins(three_class_rep):
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
     assert exact_lambda(star, LpqParams(1, 5)) == 10
     assert exact_lambda(derive_graph(three_class_rep), P21) == 6
+
+
+def test_exact_lambda_memory_does_not_grow_with_p_squared():
+    """At p = 20 000 the spans probed reach 60 000, so one table of a
+    span-wide mask per label would take hundreds of megabytes."""
+    g = derive_graph(IntervalRep(((0, 4), (2, 6), (5, 9), (1, 3), (8, 12))))
+    tracemalloc.start()
+    try:
+        lam = exact_lambda(g, LpqParams(20_000, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lam == 40_000
+    assert peak < 4 * 2**20
 
 
 def test_exact_lambda_trivial_graphs():
