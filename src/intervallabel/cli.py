@@ -51,6 +51,7 @@ from .labeling import (
 )
 from .reps import REP_KINDS, RepError, derive_graph
 from .verify import (
+    _EXACT_N_CEILING,
     CLAIMS_BY_KIND,
     ClaimReport,
     bound_report,
@@ -237,7 +238,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     try:
         lam = exact_lambda(g, params, n_cap=args.cap)
     except CapExceededError as exc:
-        raise CliError(f"{exc}; raise --cap to allow larger instances") from exc
+        if g.n > _EXACT_N_CEILING:
+            raise CliError(f"{exc}; exact search stops at n={_EXACT_N_CEILING}") from exc
+        raise CliError(f"{exc}; raise --cap (at most {_EXACT_N_CEILING})") from exc
     lab = label_instance(rep, params)
     doc = {
         "class": rep.kind,
@@ -502,6 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "cap", 0) > _EXACT_N_CEILING:
+        parser.error(f"--cap {args.cap} is above the exact-search ceiling {_EXACT_N_CEILING}")
     try:
         return args.func(args)
     except CliError as exc:

@@ -6,20 +6,22 @@ adjacent vertices differ by at least p and labels of vertices at distance
 exactly 2 differ by at least q (the L1 variant; see verify for the
 common-neighbor and distance<=2 variants).  The span is max(f) - min(f).
 
-All labelers here are first-fit greedies over an ordering derived from
-the representation (non-increasing right endpoint, degree-one vertices
-deferred to the end); the interval and circular-arc labelers restrict
-labels to multiples of max(p, q), which is what makes their spans
-provably small.
+All labelers here run one first-fit greedy over an ordering derived
+from the representation (non-increasing right endpoint, degree-one
+vertices deferred to the end).  The interval and circular-arc labelers
+run it at L(m, m) with m = max(p, q): while every placed label is a
+multiple of m the smallest free label is one too, so their labels are
+multiples of m, which is what makes their spans provably small.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import insort
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from .graph import Graph, GraphStats, iter_bits
+from .graph import Graph, GraphStats
 from .reps import (
     CircularArcRep,
     ContainmentRep,
@@ -83,15 +85,36 @@ def _check_permutation(n: int, ordering: Sequence[int]) -> list[int]:
     return order
 
 
-def _smallest_free(ranges: list[tuple[int, int]]) -> int:
-    """Smallest non-negative integer covered by none of the closed ranges."""
-    j = 0
-    for lo, hi in sorted(ranges):
-        if lo > j:
-            break
-        if hi >= j:
-            j = hi + 1
-    return j
+def _first_fit(g: Graph, order: Iterable[int], p: int, q: int, labels: list[int]) -> None:
+    """First-fit over ``order`` into ``labels`` as ``greedy_lpq`` states it,
+    counting only the vertices this pass labels.  Placed labels are kept
+    once each, ascending, with their holders as a mask; one pointer per
+    separation walks them by lower range end, so nothing grows with p or q.
+    """
+    adj = g.adj_mask
+    d2 = g.dist2_masks()
+    used: list[int] = []
+    holders: dict[int, int] = {}
+    for v in order:
+        near, far = (adj[v] | d2[v], 0) if p == q else (adj[v], d2[v])
+        j = i = k = 0
+        while True:
+            if i < len(used) and used[i] - p < j:
+                f = used[i]
+                i += 1
+                if f + p > j and holders[f] & near:
+                    j = f + p
+            elif far and k < len(used) and used[k] - q < j:
+                f = used[k]
+                k += 1
+                if f + q > j and holders[f] & far:
+                    j = f + q
+            else:
+                break
+        labels[v] = j
+        if j not in holders:
+            insort(used, j)
+        holders[j] = holders.get(j, 0) | 1 << v
 
 
 def greedy_lpq(
@@ -105,21 +128,9 @@ def greedy_lpq(
     forbidden ranges [f(u)-p+1, f(u)+p-1] of its labeled neighbors and
     [f(u)-q+1, f(u)+q-1] of labeled vertices at distance exactly 2."""
     order = _check_permutation(g.n, ordering)
-    p, q = params.p, params.q
-    d2 = g.dist2_masks()
     labels = [0] * g.n
-    labeled = 0
-    for v in order:
-        ranges = []
-        for u in iter_bits(g.adj_mask[v] & labeled):
-            fu = labels[u]
-            ranges.append((fu - p + 1, fu + p - 1))
-        for u in iter_bits(d2[v] & labeled):
-            fu = labels[u]
-            ranges.append((fu - q + 1, fu + q - 1))
-        labels[v] = _smallest_free(ranges)
-        labeled |= 1 << v
-    return Labeling(tuple(labels), p, q, algorithm, tuple(order))
+    _first_fit(g, order, params.p, params.q, labels)
+    return Labeling(tuple(labels), params.p, params.q, algorithm, tuple(order))
 
 
 def defer_degree_one(g: Graph, base: Sequence[int]) -> list[int]:
@@ -130,61 +141,43 @@ def defer_degree_one(g: Graph, base: Sequence[int]) -> list[int]:
     return keep + defer
 
 
-def _multiples_pass(
-    g: Graph, order: Iterable[int], step: int, labels: list[int], labeled: int
-) -> int:
-    """Label ``order`` with multiples of ``step``, skipping multiples already
-    used within distance <= 2; returns the updated labeled-vertex mask."""
-    d2 = g.dist2_masks()
-    for v in order:
-        used = {labels[u] for u in iter_bits((g.adj_mask[v] | d2[v]) & labeled)}
-        j = 0
-        while j * step in used:
-            j += 1
-        labels[v] = j * step
-        labeled |= 1 << v
-    return labeled
-
-
 def label_interval(rep: IntervalRep, params: LpqParams) -> Labeling:
-    """Right-endpoint greedy over multiples of max(p, q); span <= max(p,q)*Delta."""
+    """Right-endpoint first-fit at L(m, m), m = max(p, q), so every label
+    is a multiple of m; span <= m*Delta."""
     if not isinstance(rep, IntervalRep):
         raise TypeError(f"expected IntervalRep, got {type(rep).__name__}")
     g = derive_graph(rep)
     order = rightpoint_order_desc(rep)
+    m = params.max_sep
     labels = [0] * g.n
-    _multiples_pass(g, order, params.max_sep, labels, 0)
+    _first_fit(g, order, m, m, labels)
     return Labeling(tuple(labels), params.p, params.q, "interval-multiples", tuple(order))
 
 
-def _rightpoint_deferred(rep: Representation, params: LpqParams, tag: str) -> Labeling:
+def _rightpoint_deferred(rep: Representation, params: LpqParams, cls: type) -> Labeling:
+    if not isinstance(rep, cls):
+        raise TypeError(f"expected {cls.__name__}, got {type(rep).__name__}")
     g = derive_graph(rep)
     order = defer_degree_one(g, rightpoint_order_desc(rep))
-    lab = greedy_lpq(g, order, params, algorithm=tag)
-    return lab
+    return greedy_lpq(g, order, params, algorithm="rightpoint-greedy")
 
 
 def label_interval_k(rep: IntervalKRep, params: LpqParams) -> Labeling:
-    if not isinstance(rep, IntervalKRep):
-        raise TypeError(f"expected IntervalKRep, got {type(rep).__name__}")
-    return _rightpoint_deferred(rep, params, "rightpoint-greedy")
+    return _rightpoint_deferred(rep, params, IntervalKRep)
 
 
 def label_permutation(rep: ContainmentRep, params: LpqParams) -> Labeling:
-    if not isinstance(rep, ContainmentRep):
-        raise TypeError(f"expected ContainmentRep, got {type(rep).__name__}")
-    return _rightpoint_deferred(rep, params, "rightpoint-greedy")
+    return _rightpoint_deferred(rep, params, ContainmentRep)
 
 
 def label_cointerval(rep: IntervalOrderRep, params: LpqParams) -> Labeling:
-    if not isinstance(rep, IntervalOrderRep):
-        raise TypeError(f"expected IntervalOrderRep, got {type(rep).__name__}")
-    return _rightpoint_deferred(rep, params, "rightpoint-greedy")
+    return _rightpoint_deferred(rep, params, IntervalOrderRep)
 
 
 def label_circular_arc(rep: CircularArcRep, params: LpqParams) -> Labeling:
-    """Split the circle, label the line part over multiples of max(p, q),
-    then stack the cut clique above it at steps of p.
+    """Split the circle, label the line part first-fit at L(m, m) with
+    m = max(p, q), so with multiples of m, then stack the cut clique
+    above it at steps of p.
 
     Distance-2 relations are taken in the full circular-arc graph, so the
     line-part labels stay valid once the clique labels land on top.  The
@@ -197,11 +190,8 @@ def label_circular_arc(rep: CircularArcRep, params: LpqParams) -> Labeling:
     m = params.max_sep
     labels = [0] * g.n
     line_order = [split.line_ids[i] for i in rightpoint_order_desc(split.intervals)]
-    labeled = _multiples_pass(g, line_order, m, labels, 0)
-    if line_order:
-        base = max(labels[v] for v in line_order) + m
-    else:
-        base = 0
+    _first_fit(g, line_order, m, m, labels)
+    base = max((labels[v] for v in line_order), default=-m) + m
     circ = rep.circumference
     clique_order = sorted(
         split.clique_ids,

@@ -346,6 +346,8 @@ def _lambda_path_dp(g: Graph, p: int, q: int) -> int:
 
 
 _FEASIBILITY_BUDGET = 120_000
+# Largest n the exact search takes, whatever n_cap: its DPs tabulate vertex subsets.
+_EXACT_N_CEILING = 14
 
 
 def exact_lambda(g: Graph, params: LpqParams, n_cap: int = 12) -> int:
@@ -361,11 +363,13 @@ def exact_lambda(g: Graph, params: LpqParams, n_cap: int = 12) -> int:
     the question is re-solved whole: by a cheapest-Hamiltonian-path
     program when the square is complete and 2*min(p,q) >= max(p,q),
     otherwise by the label-sweep dynamic program.  Raises
-    CapExceededError when n > n_cap.
+    CapExceededError when n > n_cap or n > 14, a fixed ceiling.
     """
-    if g.n > n_cap:
+    limit = min(n_cap, _EXACT_N_CEILING)
+    if g.n > limit:
+        name = "cap" if limit == n_cap else "ceiling"
         raise CapExceededError(
-            f"instance too large for exact search: n={g.n} > cap={n_cap}"
+            f"instance too large for exact search: n={g.n} > {name}={limit}"
         )
     if g.n == 0 or g.m == 0:
         return 0

@@ -16,6 +16,7 @@ from intervallabel import (
 )
 from intervallabel import cli
 from intervallabel.cli import ENV_SEED, main
+from intervallabel.reps import REP_KINDS
 
 
 def _write_instance(tmp_path, rep, name="inst.json"):
@@ -181,6 +182,19 @@ def test_label_arc_over_construction_bound_exits_one(tmp_path, capsys):
     assert (doc["span"], doc["construction_bound"], doc["holds"]) == (20, 18, True)
     assert "construction bound exceeded: span 20 > 18" in capsys.readouterr().err
     assert main(["check", "--in", inst, "--labeling", str(out)]) == 0
+
+
+@pytest.mark.parametrize("pq", [(10**18, 1), (3, 10**18)], ids=["p", "q"])
+@pytest.mark.parametrize("kind", REP_KINDS)
+def test_label_huge_separations(tmp_path, capsys, kind, pq):
+    """No labeler walks label values or builds a window as wide as p or q."""
+    inst = _write_instance(tmp_path, gen_instance(kind, 40, 5))
+    t0 = time.perf_counter()
+    rc = main(["label", "--in", inst, "--p", str(pq[0]), "--q", str(pq[1])])
+    assert time.perf_counter() - t0 < 1
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["labeling"]["p"] == pq[0]
 
 
 def test_label_missing_file(tmp_path, capsys):
@@ -380,6 +394,46 @@ def test_oracle_cap_suggests_flag(tmp_path, capsys):
     assert rc == 2
     assert "raise --cap" in capsys.readouterr().err
     assert main(["oracle", "--in", inst, "--p", "1", "--q", "1", "--cap", "14"]) == 0
+
+
+def _complete_square_instance(tmp_path):
+    """26 intervals crowded into [0, 10]: the square of the graph is complete."""
+    rep = gen_instance("interval", 26, 3, endpoint_range=(0, 10), density=1)
+    return _write_instance(tmp_path, rep)
+
+
+@pytest.mark.parametrize("command", ["oracle", "bench"])
+def test_cap_above_ceiling_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
+    def no_search(*args, **kwargs):
+        raise AssertionError("exact search started")
+
+    monkeypatch.setattr(cli, "exact_lambda", no_search)
+    if command == "oracle":
+        argv = ["oracle", "--in", _complete_square_instance(tmp_path), "--p", "2", "--q", "1"]
+    else:
+        argv = ["bench", "--class", "interval", "--n", "26", "--seed", "3",
+                "--endpoint-range", "0", "10", "--density", "1", "--pq", "2,1"]
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cap", "30"])
+    assert time.perf_counter() - t0 < 1
+    assert exc.value.code == 2
+    assert "--cap 30 is above the exact-search ceiling 14" in capsys.readouterr().err
+
+
+def test_oracle_beyond_ceiling_suggests_no_cap(tmp_path, capsys):
+    inst = _complete_square_instance(tmp_path)
+    for cap in ("12", "14"):
+        t0 = time.perf_counter()
+        rc = main(["oracle", "--in", inst, "--p", "2", "--q", "1", "--cap", cap])
+        assert time.perf_counter() - t0 < 1
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"n=26 > cap={cap}; exact search stops at n=14" in err
+        assert "raise --cap" not in err
+    inst = _write_instance(tmp_path, gen_instance("interval", 13, 0), "small.json")
+    assert main(["oracle", "--in", inst, "--p", "1", "--q", "1"]) == 2
+    assert "raise --cap (at most 14)" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,14 @@
-"""Greedy labelers, orderings, closed-form bounds and the labeling format."""
+"""Greedy labelers, orderings, closed-form bounds and the labeling format.
 
+The reference labelers are the two first-fit loops the single
+``_first_fit`` primitive replaced: forbidden ranges sorted and walked
+for ``greedy_lpq``, and a walk over multiples of max(p, q) for the
+interval labeler and the line part of the arc labeler.
+"""
+
+import hashlib
+import random
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -29,10 +38,12 @@ from intervallabel import (
     label_permutation,
     parse_labeling,
     serialize_labeling,
+    split_circular,
     validate,
 )
-from intervallabel.labeling import circular_construction_bound
-from intervallabel.reps import REP_KINDS
+from intervallabel.graph import iter_bits
+from intervallabel.labeling import Labeling, circular_construction_bound
+from intervallabel.reps import REP_KINDS, rightpoint_order_desc
 
 P21 = LpqParams(2, 1)
 P11 = LpqParams(1, 1)
@@ -94,6 +105,170 @@ def test_greedy_output_is_always_valid(data):
     order = data.draw(st.permutations(range(n)))
     params = LpqParams(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)))
     assert validate(g, greedy_lpq(g, order, params)) == []
+
+
+def _reference_smallest_free(ranges):
+    """Smallest non-negative integer covered by none of the closed ranges."""
+    j = 0
+    for lo, hi in sorted(ranges):
+        if lo > j:
+            break
+        if hi >= j:
+            j = hi + 1
+    return j
+
+
+def _reference_greedy_lpq(g, ordering, params, algorithm="greedy"):
+    order = list(ordering)
+    p, q = params.p, params.q
+    d2 = g.dist2_masks()
+    labels = [0] * g.n
+    labeled = 0
+    for v in order:
+        ranges = []
+        for u in iter_bits(g.adj_mask[v] & labeled):
+            fu = labels[u]
+            ranges.append((fu - p + 1, fu + p - 1))
+        for u in iter_bits(d2[v] & labeled):
+            fu = labels[u]
+            ranges.append((fu - q + 1, fu + q - 1))
+        labels[v] = _reference_smallest_free(ranges)
+        labeled |= 1 << v
+    return Labeling(tuple(labels), p, q, algorithm, tuple(order))
+
+
+def _reference_multiples_pass(g, order, step, labels):
+    """Label ``order`` with multiples of ``step``, skipping multiples
+    already used within distance <= 2 among the vertices of this pass."""
+    d2 = g.dist2_masks()
+    labeled = 0
+    for v in order:
+        used = {labels[u] for u in iter_bits((g.adj_mask[v] | d2[v]) & labeled)}
+        j = 0
+        while j * step in used:
+            j += 1
+        labels[v] = j * step
+        labeled |= 1 << v
+
+
+def _reference_label_interval(rep, params):
+    g = derive_graph(rep)
+    order = rightpoint_order_desc(rep)
+    labels = [0] * g.n
+    _reference_multiples_pass(g, order, params.max_sep, labels)
+    return Labeling(tuple(labels), params.p, params.q, "interval-multiples", tuple(order))
+
+
+def _reference_label_circular_arc(rep, params):
+    g = derive_graph(rep)
+    split = split_circular(rep)
+    m = params.max_sep
+    labels = [0] * g.n
+    line_order = [split.line_ids[i] for i in rightpoint_order_desc(split.intervals)]
+    _reference_multiples_pass(g, line_order, m, labels)
+    base = max(labels[v] for v in line_order) + m if line_order else 0
+    circ = rep.circumference
+    clique_order = sorted(
+        split.clique_ids,
+        key=lambda v: (-((rep.arcs[v][1] - rep.arcs[v][0]) % circ), v),
+    )
+    for i, v in enumerate(clique_order):
+        labels[v] = base + i * params.p
+    ordering = tuple(line_order + clique_order)
+    return Labeling(tuple(labels), params.p, params.q, "arc-split", ordering)
+
+
+_SEP = st.one_of(st.integers(1, 5), st.just(2**62))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_greedy_lpq_matches_reference(data):
+    """Random graphs at n 0-40 over the whole density range, random
+    orders, p and q in 1-5 or 2**62."""
+    n = data.draw(st.integers(0, 40))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    density = rng.random()
+    g = build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+    order = data.draw(st.permutations(range(n)))
+    params = LpqParams(data.draw(_SEP), data.draw(_SEP))
+    assert greedy_lpq(g, order, params) == _reference_greedy_lpq(g, order, params)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_multiples_labelers_match_reference(data):
+    """Interval and arc labelers on generated instances at four
+    densities, arcs also on circles of circumference 2-8."""
+    kind = data.draw(st.sampled_from(("interval", "circular_arc")))
+    n = data.draw(st.integers(1, 40))
+    seed = data.draw(st.integers(0, 10**6))
+    density = data.draw(st.sampled_from((None, 0.05, 0.2, 0.5)))
+    circ = None
+    if kind == "circular_arc":
+        circ = data.draw(st.one_of(st.none(), st.integers(2, 8)))
+    rep = gen_instance(kind, n, seed, density=density, circumference=circ)
+    params = LpqParams(data.draw(_SEP), data.draw(_SEP))
+    if kind == "interval":
+        assert label_interval(rep, params) == _reference_label_interval(rep, params)
+    else:
+        assert label_circular_arc(rep, params) == _reference_label_circular_arc(rep, params)
+
+
+def test_greedy_memory_does_not_grow_with_p():
+    """A forbidden-label window 2**62 bits wide could not be built."""
+    g = derive_graph(gen_instance("interval_order", 300, 1))
+    g.dist2_masks()
+    for params in (LpqParams(2**62, 1), LpqParams(1, 2**62), LpqParams(2**62, 2**62)):
+        tracemalloc.start()
+        try:
+            lab = greedy_lpq(g, range(g.n), params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not validate(g, lab)
+        assert peak < 256 * 2**10
+
+
+# sha256 of serialize_labeling for gen_instance(kind, n, 1) at (p, q).
+_LABEL_DIGESTS = {
+    ("interval", 40, 2, 1): "a99cedd78cf4c4862a05f34f0c2b3fe381f33774f2ac397949fbf11af81e119f",
+    ("interval", 40, 1, 2): "220355f8fd79c7ae26647f593a0b8c28fa7407c47da94428acf3b9674e5ad887",
+    ("interval", 40, 3, 2): "d6124d05a62a3a15831f39c111d6835c0c977dae79c1e91017ac045af7fa0962",
+    ("interval", 400, 2, 1): "c47a9175d4c588fb46a4766012f9e869f5181fa9499480447cd7cbd8473839c4",
+    ("interval", 400, 1, 2): "341153a746e05a0a5461e0bfbbeb9394bd39c3c28fe08b2e5f2089368a1e9dd3",
+    ("interval", 400, 3, 2): "d6d063ec9a7e4e96a37e58248ac889e6954a0f9ce36b82e5ad241b6886fdf1db",
+    ("interval_k", 40, 2, 1): "39de9997b7df67628150e4b9621e102d6b8623d4d3a512f2c2f9efa652a26df0",
+    ("interval_k", 40, 1, 2): "3dbe425bcaef0b1825b5b876f58103494d5974886b97e907572f7e0a02bd4782",
+    ("interval_k", 40, 3, 2): "57107a957f515903e44919e91f71bb6277027e1db0ef33c20a32dad5dcb7a54b",
+    ("interval_k", 400, 2, 1): "19a398c51d8aa5a6aaca67ae416a7df99886f3829380606a970436b85d70bc33",
+    ("interval_k", 400, 1, 2): "73169700973cf564b712618650b048c910795af92fb8461c01a0fd60ba27e245",
+    ("interval_k", 400, 3, 2): "627e80c12e682445741c8f7cef1662a057c790b44be715e2df31682850e6411d",
+    ("circular_arc", 40, 2, 1): "7f3f13a5a7880a63633e82c1ddc488ba028477c200aa0d30abacb070568ff1e6",
+    ("circular_arc", 40, 1, 2): "6be4beece494bc41875e35240429228f6d2657c80adb59e34b057e720a614001",
+    ("circular_arc", 40, 3, 2): "76446474fba659c38a9056cda4ce712aaac6d77c228899e2014c6b0f61160fd5",
+    ("circular_arc", 400, 2, 1): "76197a3fe07c1a41c2c5c33e65a2480d1c05da8c09cb3d830adca50d21925272",
+    ("circular_arc", 400, 1, 2): "0c7ffb4610397be231c6605bef8db9baf7ed7263cecfb17d7210049b87a6d438",
+    ("circular_arc", 400, 3, 2): "0f0f3ad88711c74f33fc7249631c24e3cef0021a142836d5a66d49d4ed2d2398",
+    ("containment", 40, 2, 1): "2b8cd768d9709b059587bfa0defcbc85cb5cd3d36746e54e533ab0d0b0b65bd6",
+    ("containment", 40, 1, 2): "54592aac40bec8eaea0a3ec41d5ef0548b31598db5abc0d49e93b10ddca06645",
+    ("containment", 40, 3, 2): "7bacd7cd0e828e0e7aed6f9afd6ed918b7896fe3348070bbcba9c760e109e130",
+    ("containment", 400, 2, 1): "e209111023d004a495c4d4b2c43ed1e882048b03c7b3a8b24cd7447837f11bff",
+    ("containment", 400, 1, 2): "32859da5c7d3d76473d96e8d231f93fff0df851d2033f6e6252a51b7c524352c",
+    ("containment", 400, 3, 2): "e6e092ead1db09e55c04552c1f028704cf874d1dfc2426dac76db3d16dd0599e",
+    ("interval_order", 40, 2, 1): "05333c44f925ee76184318ae247b6a264ad315fcec1769f8b4bd4ea41ae5c762",
+    ("interval_order", 40, 1, 2): "a1d0a148b66cd4c745a63880bb3a34e4134fb37efc637c18a6ffbb3031eff04e",
+    ("interval_order", 40, 3, 2): "7248f00510fb2f5fec564940ea45c939bdc34dca8473ac1bcfe0e1c5e4e74704",
+    ("interval_order", 400, 2, 1): "d8024669f95bb3a4e87d79e4ac38a81d0d7e4a07abee4c5296ed495556fa9c62",
+    ("interval_order", 400, 1, 2): "b602a61ac2ec388151c12c6c988f74b0e7a1b86c7f7ed4983352b6716e8e3d67",
+    ("interval_order", 400, 3, 2): "bf88228e61ca8581169c87e107181787a93a3457ace7daa56e2cff7bf38d5504",
+}
+
+
+def test_label_digests_are_pinned():
+    for (kind, n, p, q), digest in _LABEL_DIGESTS.items():
+        lab = label_instance(gen_instance(kind, n, 1), LpqParams(p, q))
+        assert hashlib.sha256(serialize_labeling(lab)).hexdigest() == digest, (kind, n, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +443,6 @@ def test_class_bound_unknown_kind():
 
 
 def test_construction_bound_twelve_arcs(twelve_arc_rep):
-    from intervallabel import split_circular
-
     split = split_circular(twelve_arc_rep)
     st = compute_stats(derive_graph(twelve_arc_rep))
     value = circular_construction_bound(P21, st.max_degree, len(split.clique_ids))

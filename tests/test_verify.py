@@ -316,6 +316,16 @@ def test_exact_lambda_cap():
     assert exact_lambda(g, P21, n_cap=13) == 4
 
 
+def test_exact_lambda_ceiling():
+    """Above n = 14 no cap admits the search; it stops before any work."""
+    g = build_graph(15, combinations(range(15), 2))
+    for cap in (15, 30, 10**6):
+        with pytest.raises(CapExceededError, match="n=15 > ceiling=14"):
+            exact_lambda(g, P21, n_cap=cap)
+    path = build_graph(14, [(i, i + 1) for i in range(13)])
+    assert exact_lambda(path, P21, n_cap=30) == 4
+
+
 def test_exact_lambda_against_brute_force():
     rng = random.Random(97)
     for _ in range(100):
