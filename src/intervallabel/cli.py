@@ -13,6 +13,10 @@ The base seed comes from --seed or, failing that, the INTERVALLABEL_SEED
 environment variable; commands that generate instances refuse to run
 without one so results stay reproducible.
 
+Every integer flag, --pq value and the seed variable must be spelled
+canonically, as ``str`` prints the integer ("5", "-3"); " 5", "+5",
+"05", "1_0" and non-ASCII digits are usage errors.
+
 Exit status: 0 on success, 1 when a validity violation, a failed
 non-report-only bound, or a claim violation was found, or when ``label``
 or ``bench`` produced an arc labeling whose span exceeds the split
@@ -44,6 +48,7 @@ from .labeling import (
     BoundReport,
     LabelingFormatError,
     LpqParams,
+    canonical_int,
     label_instance,
     labeling_to_dict,
     parse_labeling,
@@ -116,7 +121,7 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     env = os.environ.get(ENV_SEED)
     if env is not None:
         try:
-            return int(env)
+            return canonical_int(env)
         except ValueError:
             raise CliError(f"{ENV_SEED}={env!r} is not an integer") from None
     raise CliError(f"no seed: pass --seed or set {ENV_SEED}")
@@ -259,7 +264,7 @@ def _parse_pq(values: Sequence[str] | None) -> list[tuple[int, int]]:
     for item in values or ():
         try:
             a, b = item.split(",")
-            pairs.append((int(a), int(b)))
+            pairs.append((canonical_int(a), canonical_int(b)))
         except ValueError:
             raise CliError(f"bad --pq value {item!r}; expected P,Q") from None
     return pairs
@@ -416,20 +421,27 @@ def _add_gen_flags(sub: argparse.ArgumentParser, *, with_n: bool = True) -> None
         help="representation family",
     )
     if with_n:
-        sub.add_argument("--n", type=int, required=True, help="vertices per instance")
-    sub.add_argument("--count", type=int, default=1, help="number of instances")
-    sub.add_argument("--seed", type=int, default=None, help="base seed")
+        sub.add_argument(
+            "--n", type=canonical_int, required=True, help="vertices per instance"
+        )
+    sub.add_argument("--count", type=canonical_int, default=1, help="number of instances")
+    sub.add_argument("--seed", type=canonical_int, default=None, help="base seed")
     sub.add_argument(
         "--endpoint-range",
-        type=int,
+        type=canonical_int,
         nargs=2,
         metavar=("A", "B"),
         default=None,
         help="endpoint range (default 0 4n)",
     )
-    sub.add_argument("--k", type=int, default=3, help="class count for interval_k")
     sub.add_argument(
-        "--circumference", type=int, default=None, help="circle size for circular_arc"
+        "--k", type=canonical_int, default=3, help="class count for interval_k"
+    )
+    sub.add_argument(
+        "--circumference",
+        type=canonical_int,
+        default=None,
+        help="circle size for circular_arc",
     )
     sub.add_argument(
         "--density",
@@ -453,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_label = sub.add_parser("label", help="label one instance file")
     p_label.add_argument("--in", dest="infile", required=True)
-    p_label.add_argument("--p", type=int, required=True)
-    p_label.add_argument("--q", type=int, required=True)
+    p_label.add_argument("--p", type=canonical_int, required=True)
+    p_label.add_argument("--q", type=canonical_int, required=True)
     p_label.add_argument("--out", default=None, help="labeling output path")
     p_label.add_argument("--report", default=None, help="bound report output path")
     p_label.set_defaults(func=cmd_label)
@@ -462,17 +474,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="validate a labeling file")
     p_check.add_argument("--in", dest="infile", required=True)
     p_check.add_argument("--labeling", required=True)
-    p_check.add_argument("--p", type=int, default=None, help="override labeling p")
-    p_check.add_argument("--q", type=int, default=None, help="override labeling q")
+    p_check.add_argument(
+        "--p", type=canonical_int, default=None, help="override labeling p"
+    )
+    p_check.add_argument(
+        "--q", type=canonical_int, default=None, help="override labeling q"
+    )
     p_check.add_argument("--variant", choices=("L1", "L2", "L3"), default="L1")
     p_check.add_argument("--out", default=None)
     p_check.set_defaults(func=cmd_check)
 
     p_oracle = sub.add_parser("oracle", help="exact minimum span (small n)")
     p_oracle.add_argument("--in", dest="infile", required=True)
-    p_oracle.add_argument("--p", type=int, required=True)
-    p_oracle.add_argument("--q", type=int, required=True)
-    p_oracle.add_argument("--cap", type=int, default=12, help="max n for exact search")
+    p_oracle.add_argument("--p", type=canonical_int, required=True)
+    p_oracle.add_argument("--q", type=canonical_int, required=True)
+    p_oracle.add_argument(
+        "--cap", type=canonical_int, default=12, help="max n for exact search"
+    )
     p_oracle.add_argument("--out", default=None)
     p_oracle.set_defaults(func=cmd_oracle)
 
@@ -484,8 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="P,Q",
         help="grid point, repeatable; no occurrences = empty grid",
     )
-    p_bench.add_argument("--cap", type=int, default=12, help="exact oracle cap")
-    p_bench.add_argument("--jobs", type=int, default=1)
+    p_bench.add_argument("--cap", type=canonical_int, default=12, help="exact oracle cap")
+    p_bench.add_argument("--jobs", type=canonical_int, default=1)
     p_bench.add_argument("--format", choices=("json", "csv"), default="csv")
     p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=cmd_bench)
@@ -495,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_claims.add_argument(
         "--claim", action="append", default=None, help="claim tag, repeatable"
     )
-    p_claims.add_argument("--jobs", type=int, default=1)
+    p_claims.add_argument("--jobs", type=canonical_int, default=1)
     p_claims.add_argument("--out", default=None)
     p_claims.set_defaults(func=cmd_claims)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 
@@ -55,15 +56,29 @@ class Graph:
                 yield (u, v)
 
     def dist2_masks(self) -> tuple[int, ...]:
-        """Per-vertex bitmask of vertices at distance exactly 2."""
+        """Per-vertex bitmask of vertices at distance exactly 2.
+
+        A boolean square by the method of Four Russians.  The vertices
+        are cut into blocks of 8; entry x of a block's 256-entry table is
+        the OR of the adjacency rows of the block vertices set in x,
+        built by doubling.  Byte b of row v is N(v) within block b, so it
+        picks from block b's table all that v reaches through those
+        neighbours.  That is about n**2 / 8 table lookups, with one table
+        alive at a time.
+        """
         if self._dist2 is None:
-            out = []
-            for v in range(self.n):
-                reach = 0
-                for u in iter_bits(self.adj_mask[v]):
-                    reach |= self.adj_mask[u]
-                out.append(reach & ~(self.adj_mask[v] | (1 << v)))
-            self._dist2 = tuple(out)
+            adj = self.adj_mask
+            nb = (self.n + 7) >> 3
+            rows = b"".join([mk.to_bytes(nb, "little") for mk in adj])
+            reach = [0] * self.n
+            for b in range(nb):
+                table = [0]
+                for mk in adj[8 * b : 8 * b + 8]:
+                    table += [x | mk for x in table]
+                reach = list(map(or_, reach, map(table.__getitem__, rows[b::nb])))
+            self._dist2 = tuple(
+                [r & ~(mk | 1 << v) for v, r, mk in zip(range(self.n), reach, adj)]
+            )
         return self._dist2
 
     def __eq__(self, other: object) -> bool:

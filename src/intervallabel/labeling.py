@@ -78,6 +78,18 @@ def _is_int(val: Any) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
+def canonical_int(text: str) -> int:
+    """The integer ``text`` spells exactly as ``str`` prints it.
+
+    Raises ValueError for every other spelling that ``int`` would accept,
+    such as " 5", "+5", "05", "1_0" or non-ASCII digits.
+    """
+    value = int(text)
+    if text != str(value):
+        raise ValueError(f"{text!r} is not a canonical integer")
+    return value
+
+
 def _check_permutation(n: int, ordering: Sequence[int]) -> list[int]:
     order = list(ordering)
     if sorted(order) != list(range(n)):
@@ -347,11 +359,9 @@ def parse_labeling(data: bytes | str) -> Labeling:
     # n keys in 0..n-1 cover every vertex once.
     for key, val in raw.items():
         try:
-            vid = int(key)
+            vid = canonical_int(key)
         except ValueError:
-            vid = None
-        if vid is None or key != str(vid):
-            raise LabelingFormatError(f"label key {key!r} is not a vertex id")
+            raise LabelingFormatError(f"label key {key!r} is not a vertex id") from None
         if not 0 <= vid < n:
             raise LabelingFormatError(f"vertex id {vid} outside 0..{n - 1}")
         if not _is_int(val):

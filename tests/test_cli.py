@@ -85,6 +85,53 @@ def test_gen_rejects_bad_env_seed(tmp_path, capsys, monkeypatch):
     assert "not an integer" in capsys.readouterr().err
 
 
+# Spellings int() reads as an integer but str() never prints.
+NON_CANONICAL = (" 5", "5 ", "+5", "05", "-0", "1_0", "\u0665", "\u0663")
+
+
+def test_gen_rejects_non_canonical_n_and_seed(tmp_path, capsys):
+    """n = 3 and seed 10 were once read from these and written to
+    interval-10-0.json with exit 0."""
+    out = tmp_path / "nc"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--class", "interval", "--n", "\u0663", "--seed", " 1_0",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid canonical_int value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--n", "--seed", "--count", "--k"])
+@pytest.mark.parametrize("text", NON_CANONICAL)
+def test_gen_rejects_non_canonical_integer_flags(tmp_path, capsys, flag, text):
+    values = {"--n": "3", "--seed": "1", "--count": "1", "--k": "3", flag: text}
+    argv = [arg for item in values.items() for arg in item]
+    out = tmp_path / "nc"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--class", "interval_k", *argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid canonical_int value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL)
+def test_gen_rejects_non_canonical_env_seed(tmp_path, capsys, monkeypatch, text):
+    monkeypatch.setenv(ENV_SEED, text)
+    out = tmp_path / "nc"
+    assert main(["gen", "--class", "interval", "--n", "3", "--out", str(out)]) == 2
+    assert "not an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_canonical_integers_are_accepted(tmp_path, monkeypatch):
+    monkeypatch.setenv(ENV_SEED, "-3")
+    out = tmp_path / "c"
+    assert main(["gen", "--class", "interval", "--n", "10", "--out", str(out)]) == 0
+    assert (out / "interval--3-0.json").read_bytes() == serialize_instance(
+        gen_instance("interval", 10, -3)
+    )
+
+
 def test_gen_containment_range_too_small(tmp_path, capsys):
     rc = main(
         ["gen", "--class", "containment", "--n", "50", "--seed", "0",
@@ -594,6 +641,16 @@ def test_bench_bad_pq(capsys):
                "--pq", "2:1"])
     assert rc == 2
     assert "bad --pq value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL)
+@pytest.mark.parametrize("pattern", ["{},1", "2,{}"])
+def test_bench_rejects_non_canonical_pq(capsys, text, pattern):
+    pq = pattern.format(text)
+    rc = main(["bench", "--class", "interval", "--n", "5", "--seed", "0", f"--pq={pq}"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert f"bad --pq value {pq!r}" in err and out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@
 
 import itertools
 import random
+import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intervallabel import (
     CapExceededError,
@@ -19,7 +23,7 @@ from intervallabel import (
     is_connected,
     square,
 )
-from intervallabel.graph import greedy_clique_mask, iter_bits
+from intervallabel.graph import Graph, greedy_clique_mask, iter_bits
 from intervallabel.reps import REP_KINDS
 
 THREE_CLASS_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)]
@@ -91,6 +95,63 @@ def test_dist2_rejects_bad_vertex():
     g = build_graph(2, [(0, 1)])
     with pytest.raises(GraphError):
         dist2_set(g, 2)
+
+
+def _reference_dist2_masks(g):
+    """Distance-2 masks by the per-neighbour loop: OR the rows of N(v),
+    then drop N[v]."""
+    out = []
+    for v in range(g.n):
+        reach = 0
+        for u in iter_bits(g.adj_mask[v]):
+            reach |= g.adj_mask[u]
+        out.append(reach & ~(g.adj_mask[v] | (1 << v)))
+    return tuple(out)
+
+
+def _assert_dist2_matches_reference(g):
+    expected = _reference_dist2_masks(g)
+    assert g.dist2_masks() == expected
+    assert square(g) == Graph(g.n, [a | d for a, d in zip(g.adj_mask, expected)])
+
+
+# n on and beside the edges of the 8-row blocks.
+_BLOCK_EDGE_N = (0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_dist2_masks_match_reference(data):
+    """Random graphs with n at a block edge or anywhere in 0-130, from
+    empty to complete."""
+    n = data.draw(st.one_of(st.sampled_from(_BLOCK_EDGE_N), st.integers(0, 130)))
+    density = data.draw(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0, 1)))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+    _assert_dist2_matches_reference(build_graph(n, edges))
+
+
+def test_dist2_masks_match_reference_on_generated_instances():
+    """All five classes at n 1, 37 and 300, without a density and at 0.05."""
+    for kind in REP_KINDS:
+        for density in (None, 0.05):
+            for n in (1, 37, 300):
+                g = derive_graph(gen_instance(kind, n, 7 * n + 1, density=density))
+                _assert_dist2_matches_reference(g)
+
+
+def test_dist2_masks_peak_memory():
+    """One OR table is alive at a time; all 250 tables of an n = 2000
+    graph together would take about 16 MB."""
+    g = derive_graph(gen_instance("interval", 2000, 1))
+    tracemalloc.start()
+    try:
+        masks = g.dist2_masks()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sys.getsizeof(masks) + sum(map(sys.getsizeof, masks))
+    assert peak < 4 * kept
 
 
 def test_square_small_cases():
