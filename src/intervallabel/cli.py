@@ -15,7 +15,9 @@ without one so results stay reproducible.
 
 Every integer flag, --pq value and the seed variable must be spelled
 canonically, as ``str`` prints the integer ("5", "-3"); " 5", "+5",
-"05", "1_0" and non-ASCII digits are usage errors.
+"05", "1_0" and non-ASCII digits are usage errors.  --density must be a
+plain ASCII decimal ("1", "0.5", "0.05"); " 0.5", "+0.5", ".5", "0.5_0",
+"5e-1" and non-ASCII digits are usage errors.  --count must be positive.
 
 Exit status: 0 on success, 1 when a validity violation, a failed
 non-report-only bound, or a claim violation was found, or when ``label``
@@ -30,6 +32,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -115,6 +118,15 @@ class RunConfig:
         )
 
 
+def plain_decimal(text: str) -> float:
+    """The float ``text`` spells as ASCII digits with an optional
+    fractional part ("1", "0.5"); raises ValueError for any other
+    spelling ``float`` would accept."""
+    if not re.fullmatch(r"(0|[1-9][0-9]*)(\.[0-9]+)?", text):
+        raise ValueError(f"{text!r} is not a plain decimal")
+    return float(text)
+
+
 def _resolve_seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
         return args.seed
@@ -127,12 +139,14 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     raise CliError(f"no seed: pass --seed or set {ENV_SEED}")
 
 
-def _run_config(args: argparse.Namespace, count: int) -> RunConfig:
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    if args.count < 1:
+        raise CliError(f"--count must be positive, got {args.count}")
     return RunConfig(
         kind=args.cls,
         n=args.n,
         seed=_resolve_seed(args),
-        count=count,
+        count=args.count,
         endpoint_range=tuple(args.endpoint_range) if args.endpoint_range else None,
         k=args.k,
         circumference=args.circumference,
@@ -148,7 +162,7 @@ def _write_or_print(payload: str, out: str | None) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    cfg = _run_config(args, args.count)
+    cfg = _run_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for idx in range(cfg.count):
@@ -330,7 +344,7 @@ def _map_tasks(worker, tasks: list, jobs: int) -> list:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _run_config(args, args.count)
+    cfg = _run_config(args)
     pairs = _parse_pq(args.pq)
     tasks = [(cfg, idx, pairs, args.cap) for idx in range(cfg.count)]
     results = _map_tasks(_bench_instance, tasks, args.jobs)
@@ -383,7 +397,7 @@ def cmd_claims(args: argparse.Namespace) -> int:
                 raise CliError(
                     f"claim {name!r} not applicable to class {args.cls!r}"
                 )
-    cfg = _run_config(args, args.count)
+    cfg = _run_config(args)
     claims = tuple(args.claim) if args.claim else None
     tasks = [(cfg, idx, claims) for idx in range(cfg.count)]
     results = _map_tasks(_claims_instance, tasks, args.jobs)
@@ -412,7 +426,7 @@ def cmd_claims(args: argparse.Namespace) -> int:
     return 1 if any(r.violations for r in reports) else 0
 
 
-def _add_gen_flags(sub: argparse.ArgumentParser, *, with_n: bool = True) -> None:
+def _add_gen_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--class",
         dest="cls",
@@ -420,10 +434,9 @@ def _add_gen_flags(sub: argparse.ArgumentParser, *, with_n: bool = True) -> None
         choices=REP_KINDS,
         help="representation family",
     )
-    if with_n:
-        sub.add_argument(
-            "--n", type=canonical_int, required=True, help="vertices per instance"
-        )
+    sub.add_argument(
+        "--n", type=canonical_int, required=True, help="vertices per instance"
+    )
     sub.add_argument("--count", type=canonical_int, default=1, help="number of instances")
     sub.add_argument("--seed", type=canonical_int, default=None, help="base seed")
     sub.add_argument(
@@ -445,7 +458,7 @@ def _add_gen_flags(sub: argparse.ArgumentParser, *, with_n: bool = True) -> None
     )
     sub.add_argument(
         "--density",
-        type=float,
+        type=plain_decimal,
         default=None,
         help="cap interval length at this fraction of the range",
     )

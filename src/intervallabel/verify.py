@@ -311,7 +311,7 @@ def _lambda_path_dp(g: Graph, p: int, q: int) -> int:
     two or more steps apart accumulates at least max(p, q), so the
     consecutive constraints are the only binding ones and the answer is
     a cheapest Hamiltonian path (Held-Karp over vertex subsets).
-    Callers must check both preconditions.
+    Its one caller, ``exact_lambda``, checks both preconditions first.
     """
     n = g.n
     if n <= 1:
@@ -353,17 +353,19 @@ _EXACT_N_CEILING = 14
 def exact_lambda(g: Graph, params: LpqParams, n_cap: int = 12) -> int:
     """Minimum achievable span over all valid L1 labelings of ``g``.
 
-    Binary search over the monotone feasibility predicate, between
-    clique lower bounds (cliques of g, of its distance-2 graph, and of
-    its square force pairwise p-, q- and min(p,q)-separation; a
+    A complete square with 2*min(p,q) >= max(p,q) is answered first, by
+    a cheapest Hamiltonian path (``_lambda_path_dp``).  Every other
+    graph gets a binary search over the monotone feasibility predicate,
+    between clique lower bounds (cliques of g, of its distance-2 graph,
+    and of its square force pairwise p-, q- and min(p,q)-separation; a
     max-degree vertex plus its neighborhood needs Delta+1 distinct
-    labels) and the best of a few first-fit greedy runs.  The same
+    labels) and the best span of two first-fit greedy runs that
+    ``validate`` accepts, else (n-1)*max(p,q): the search never probes
+    its upper bound, so it must not trust the labelers.  The same
     cliques feed pigeonhole cuts into the probes.  When a probe blows
-    its node budget anyway (dense squares make refutations expensive)
-    the question is re-solved whole: by a cheapest-Hamiltonian-path
-    program when the square is complete and 2*min(p,q) >= max(p,q),
-    otherwise by the label-sweep dynamic program.  Raises
-    CapExceededError when n > n_cap or n > 14, a fixed ceiling.
+    its node budget the question is re-solved whole by the label-sweep
+    dynamic program.  Raises CapExceededError when n > n_cap or n > 14,
+    a fixed ceiling.
     """
     limit = min(n_cap, _EXACT_N_CEILING)
     if g.n > limit:
@@ -375,11 +377,14 @@ def exact_lambda(g: Graph, params: LpqParams, n_cap: int = 12) -> int:
         return 0
     p, q = params.p, params.q
     sq = square(g)
+    if sq.m == g.n * (g.n - 1) // 2 and 2 * min(p, q) >= max(p, q):
+        return _lambda_path_dp(g, p, q)
     by_sqdeg = sorted(range(g.n), key=lambda v: (-sq.adj_mask[v].bit_count(), v))
-    ub = min(
-        greedy_lpq(g, range(g.n), params).span,
-        greedy_lpq(g, by_sqdeg, params).span,
-    )
+    ub = (g.n - 1) * max(p, q)
+    for order in (range(g.n), by_sqdeg):
+        lab = greedy_lpq(g, order, params)
+        if not validate(g, lab, params):
+            ub = min(ub, lab.span)
     d2g = Graph(g.n, g.dist2_masks())
     lb = max(
         max(mk.bit_count() for mk in g.adj_mask),
@@ -405,8 +410,6 @@ def exact_lambda(g: Graph, params: LpqParams, n_cap: int = 12) -> int:
             else:
                 lo = mid + 1
     except _BudgetExceeded:
-        if sq.m == g.n * (g.n - 1) // 2 and 2 * min(p, q) >= max(p, q):
-            return _lambda_path_dp(g, p, q)
         return _lambda_dp(g, p, q)
     return lo
 

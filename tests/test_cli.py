@@ -132,6 +132,46 @@ def test_canonical_integers_are_accepted(tmp_path, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+@pytest.mark.parametrize("command", ["gen", "bench", "claims"])
+def test_non_positive_count_is_a_usage_error(tmp_path, capsys, command, count):
+    """gen once wrote an empty directory and bench and claims printed an
+    empty sweep, all with exit 0."""
+    out = tmp_path / "d"
+    argv = [command, "--class", "interval", "--n", "3", "--seed", "1",
+            "--count", count, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"--count must be positive, got {count}" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+# Spellings float() reads as a number but a plain decimal never has.
+NON_PLAIN_DECIMAL = (" 0.5", "0.5 ", "+0.5", "0.5_0", ".5", "5.", "00.5", "5e-1",
+                     "nan", "inf", "\u0660.5", "0.\u0665")
+
+
+@pytest.mark.parametrize("text", NON_PLAIN_DECIMAL)
+def test_density_must_be_a_plain_decimal(tmp_path, capsys, text):
+    out = tmp_path / "d"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--class", "interval", "--n", "5", "--seed", "1",
+              "--density", text, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --density: invalid plain_decimal value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, density", [("1", 1), ("0.5", 0.5), ("0.05", 0.05)])
+def test_plain_decimal_densities_are_accepted(tmp_path, text, density):
+    out = tmp_path / "d"
+    assert main(["gen", "--class", "interval", "--n", "5", "--seed", "1",
+                 "--density", text, "--out", str(out)]) == 0
+    assert (out / "interval-1-0.json").read_bytes() == serialize_instance(
+        gen_instance("interval", 5, 1, density=density)
+    )
+
+
 def test_gen_containment_range_too_small(tmp_path, capsys):
     rc = main(
         ["gen", "--class", "containment", "--n", "50", "--seed", "0",

@@ -37,6 +37,7 @@ from intervallabel import (
     label_instance,
     validate,
 )
+from intervallabel import labeling, verify
 from intervallabel.graph import iter_bits
 from intervallabel.reps import REP_KINDS
 from intervallabel.verify import _lambda_dp, _lambda_path_dp
@@ -331,7 +332,7 @@ def test_exact_lambda_against_brute_force():
     for _ in range(100):
         n = rng.randint(1, 5)
         edges = _random_edges(rng, n)
-        p, q = rng.choice([(1, 1), (2, 1), (1, 2), (2, 3)])
+        p, q = rng.choice([(1, 1), (2, 1), (1, 2), (2, 3), (3, 1)])
         g = build_graph(n, edges)
         assert exact_lambda(g, LpqParams(p, q)) == _naive_lambda(n, edges, p, q), (
             edges,
@@ -374,7 +375,15 @@ def test_internal_solvers_agree():
         assert _lambda_dp(build_graph(n, edges), p, q) == _naive_lambda(n, edges, p, q)
 
 
-def test_path_dp_agrees_on_complete_squares():
+def test_path_dp_agrees_on_complete_squares(monkeypatch):
+    """A complete square with 2 min(p,q) >= max(p,q) is answered by the
+    path program alone: no greedy bound, no feasibility probe."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("complete squares must not reach the search")
+
+    monkeypatch.setattr(verify, "_feasible", refuse)
+    monkeypatch.setattr(verify, "greedy_lpq", refuse)
     cases = [
         (3, [(0, 1), (1, 2)]),
         (4, [(0, 1), (0, 2), (0, 3)]),
@@ -384,7 +393,35 @@ def test_path_dp_agrees_on_complete_squares():
     for n, edges in cases:
         g = build_graph(n, edges)
         for p, q in ((1, 1), (2, 1), (3, 2), (1, 2)):
-            assert _lambda_path_dp(g, p, q) == _naive_lambda(n, edges, p, q)
+            want = _naive_lambda(n, edges, p, q)
+            assert _lambda_path_dp(g, p, q) == want
+            assert exact_lambda(g, LpqParams(p, q)) == want
+
+
+@pytest.mark.parametrize(
+    "n, edges, pq",
+    [
+        (3, [(0, 1), (1, 2)], (2, 1)),
+        (4, [(0, 1), (1, 2), (2, 3), (3, 0)], (2, 1)),
+        (3, [(0, 1), (1, 2)], (3, 1)),
+        (4, [(0, 1), (1, 2), (2, 3), (3, 0)], (3, 1)),
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4)], (2, 1)),
+        (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)], (2, 1)),
+    ],
+)
+def test_exact_lambda_survives_a_broken_labeler(monkeypatch, n, edges, pq):
+    """The oracle takes a greedy span as its upper bound only after
+    ``validate`` accepts it: with a first-fit that labels everything 0
+    it once returned 2 on P3 and 3 on C4 at (2,1) instead of 3 and 4."""
+
+    def all_zero(g, order, p, q, labels):
+        for v in order:
+            labels[v] = 0
+
+    monkeypatch.setattr(labeling, "_first_fit", all_zero)
+    g = build_graph(n, edges)
+    assert greedy_lpq(g, range(n), LpqParams(*pq)).span == 0
+    assert exact_lambda(g, LpqParams(*pq)) == _naive_lambda(n, edges, *pq)
 
 
 def test_chi_square_pins():
