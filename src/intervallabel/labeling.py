@@ -6,19 +6,30 @@ adjacent vertices differ by at least p and labels of vertices at distance
 exactly 2 differ by at least q (the L1 variant; see verify for the
 common-neighbor and distance<=2 variants).  The span is max(f) - min(f).
 
-All labelers here run one first-fit greedy over an ordering derived
-from the representation (non-increasing right endpoint, degree-one
-vertices deferred to the end).  The interval and circular-arc labelers
-run it at L(m, m) with m = max(p, q): while every placed label is a
-multiple of m the smallest free label is one too, so their labels are
-multiples of m, which is what makes their spans provably small.
+All labelers here run one first-fit greedy, ``_first_fit``, over an
+ordering derived from the representation (non-increasing right
+endpoint, degree-one vertices deferred to the end).  The interval and
+circular-arc labelers run it at L(m, m) with m = max(p, q): while every
+placed label is a multiple of m the smallest free label is one too, so
+their labels are multiples of m, which is what makes their spans
+provably small.
+
+The first-fit keeps each placed label once, with a mask of the vertices
+holding it, in blocks of consecutive labels that also record the union
+of their holders and how many of their gaps are too wide for the
+windows to meet.  A vertex skips a block none of whose holders is
+within distance 2 of it, crosses a block whose windows form one
+forbidden run in a single step, and walks only the other blocks label
+by label.  Neither its memory nor its steps grow with p or q.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_, sub
 from typing import Any, Iterable, Sequence
 
 from .graph import Graph, GraphStats
@@ -33,6 +44,10 @@ from .reps import (
     rightpoint_order_desc,
     split_circular,
 )
+
+# Placed labels are kept in blocks of consecutive distinct labels, split
+# in two halves when one reaches 2 * _BLOCK labels.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -97,36 +112,115 @@ def _check_permutation(n: int, ordering: Sequence[int]) -> list[int]:
     return order
 
 
+def _wide_gaps(labs: list[int], width: int) -> int:
+    return sum(gap >= width for gap in map(sub, labs[1:], labs))
+
+
 def _first_fit(g: Graph, order: Iterable[int], p: int, q: int, labels: list[int]) -> None:
     """First-fit over ``order`` into ``labels`` as ``greedy_lpq`` states it,
-    counting only the vertices this pass labels.  Placed labels are kept
-    once each, ascending, with their holders as a mask; one pointer per
-    separation walks them by lower range end, so nothing grows with p or q.
+    counting only the vertices this pass labels.
+
+    A vertex v takes the least integer j >= 0 outside the union of the
+    open windows (f - p, f + p) of the labels f held by neighbours of v
+    and (f - q, f + q) of those held at distance 2.  That least j does
+    not depend on the order in which the windows are handled, as long as
+    every window that starts below the final j is handled: raising j to
+    the end of a window that contains it leaves every integer below j
+    forbidden, and once no unhandled window starts below j, j is free.
+
+    Each distinct label is kept once, with a mask of its holders.  The
+    sorted labels are cut into blocks of consecutive labels, split in
+    halves at ``2 * _BLOCK``.  With r = min(p, q) and R = max(p, q), a
+    block also keeps the union of its holders and how many gaps between
+    its neighbouring labels are wide, 2r or more.  One pointer walks the
+    blocks in label order and stops at the first label f with
+    f - R >= j.  A block whose union misses v's ball N(v) | D2(v) is
+    skipped.  A block whose union lies inside the ball and which has no
+    wide gap forbids one contiguous run (f0 - r, last + r); once
+    f0 - r < j, j rises to at least last + r in one step, and only
+    labels within R - r of the last one can reach further (f + R), so
+    they are re-walked one by one.  Any other block is walked label by
+    label.  A window of radius r that starts at or above j when its
+    label is reached is dropped: j grows after that only at a larger
+    label, to at least that label plus r, beyond the dropped window's
+    end.  Nothing here grows with p or q.
     """
     adj = g.adj_mask
     d2 = g.dist2_masks()
-    used: list[int] = []
-    holders: dict[int, int] = {}
+    lo, hi = min(p, q), max(p, q)
+    two_lo, reach, cap = 2 * lo, hi - lo, 2 * _BLOCK
+    # Each block is [labels, union of their holders, wide gaps].  The
+    # first vertex takes 0, so seeding label 0 with no holders changes
+    # nothing and keeps every later label at or above the first block's.
+    holders = {0: 0}
+    blocks: list[list[Any]] = [[[0], 0, 0]]
+    firsts = [0]
     for v in order:
-        near, far = (adj[v] | d2[v], 0) if p == q else (adj[v], d2[v])
-        j = i = k = 0
-        while True:
-            if i < len(used) and used[i] - p < j:
-                f = used[i]
-                i += 1
-                if f + p > j and holders[f] & near:
-                    j = f + p
-            elif far and k < len(used) and used[k] - q < j:
-                f = used[k]
-                k += 1
-                if f + q > j and holders[f] & far:
-                    j = f + q
-            else:
+        if p == q:
+            big, small = adj[v] | d2[v], 0
+        elif p > q:
+            big, small = adj[v], d2[v]
+        else:
+            big, small = d2[v], adj[v]
+        ball = big | small
+        j = 0
+        for labs, union, wide in blocks:
+            if labs[0] - hi >= j:
                 break
+            seen = union & ball
+            if not seen:
+                continue
+            if not wide and seen == union and labs[0] - lo < j:
+                last = labs[-1]
+                if last + lo > j:
+                    j = last + lo
+                if reach:
+                    for f in reversed(labs):
+                        if f + reach <= last:
+                            break
+                        if holders[f] & big:
+                            if f + hi > j:
+                                j = f + hi
+                            break
+                continue
+            for f in labs:
+                if f - hi >= j:
+                    break
+                h = holders[f]
+                if h & big:
+                    if f + hi > j:
+                        j = f + hi
+                elif h & small and f - lo < j < f + lo:
+                    j = f + lo
+            else:
+                continue
+            break
         labels[v] = j
-        if j not in holders:
-            insort(used, j)
-        holders[j] = holders.get(j, 0) | 1 << v
+        bit = 1 << v
+        i = bisect_right(firsts, j) - 1
+        blk = blocks[i]
+        blk[1] |= bit
+        if j in holders:
+            holders[j] |= bit
+            continue
+        holders[j] = bit
+        labs = blk[0]
+        k = bisect_left(labs, j)
+        labs.insert(k, j)
+        a = labs[k - 1]
+        if k == len(labs) - 1:
+            blk[2] += j - a >= two_lo
+        else:
+            b = labs[k + 1]
+            blk[2] += (j - a >= two_lo) + (b - j >= two_lo) - (b - a >= two_lo)
+        if len(labs) == cap:
+            rest = labs[_BLOCK:]
+            del labs[_BLOCK:]
+            blk[1] = reduce(or_, map(holders.__getitem__, labs))
+            blk[2] = _wide_gaps(labs, two_lo)
+            union = reduce(or_, map(holders.__getitem__, rest))
+            blocks.insert(i + 1, [rest, union, _wide_gaps(rest, two_lo)])
+            firsts.insert(i + 1, rest[0])
 
 
 def greedy_lpq(
@@ -148,8 +242,11 @@ def greedy_lpq(
 def defer_degree_one(g: Graph, base: Sequence[int]) -> list[int]:
     """Stable partition of ``base``: degree-one vertices move to the end."""
     order = _check_permutation(g.n, base)
-    keep = [v for v in order if g.adj_mask[v].bit_count() != 1]
-    defer = [v for v in order if g.adj_mask[v].bit_count() == 1]
+    adj = g.adj_mask
+    keep: list[int] = []
+    defer: list[int] = []
+    for v in order:
+        (defer if adj[v].bit_count() == 1 else keep).append(v)
     return keep + defer
 
 
