@@ -22,7 +22,8 @@ plain ASCII decimal ("1", "0.5", "0.05"); " 0.5", "+0.5", ".5", "0.5_0",
 Exit status: 0 on success, 1 when a validity violation, a failed
 non-report-only bound, or a claim violation was found, or when ``label``
 or ``bench`` produced an arc labeling whose span exceeds the split
-construction's own bound, 2 on usage or input errors.
+construction's own bound, 2 on usage or input errors.  ``label`` and
+``bench`` also name each such failure on stderr.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .instances import (
     serialize_instance,
 )
 from .labeling import (
-    BoundReport,
+    Labeling,
     LabelingFormatError,
     LpqParams,
     canonical_int,
@@ -57,11 +58,13 @@ from .labeling import (
     parse_labeling,
     serialize_labeling,
 )
-from .reps import REP_KINDS, RepError, derive_graph
+from .reps import REP_KINDS, Representation, RepError, derive_graph
 from .verify import (
     _EXACT_N_CEILING,
     CLAIMS_BY_KIND,
+    BoundReport,
     ClaimReport,
+    Violation,
     bound_report,
     check_structural_claims,
     exact_lambda,
@@ -182,11 +185,46 @@ def _load_instance(path: str):
         raise CliError(f"{path}: {exc}") from exc
 
 
+def _failures(
+    violations: Sequence[Violation], report: BoundReport, construction: bool
+) -> list[str]:
+    """The failure lines of one labeling, in order: invalid, a failed
+    bound that is not report-only, and, with ``construction``, an arc
+    span over the split construction's own bound.  ``check`` leaves that
+    last one out: it validates labelings made elsewhere, which owe the
+    split construction nothing."""
+    lines = []
+    if violations:
+        lines.append("labeler produced an invalid labeling")
+    span = report.achieved_span
+    if not report.holds and not report.report_only:
+        lines.append(f"bound violated: span {span} > {report.formula_value}")
+    bound = report.construction_value
+    if construction and bound is not None and span > bound:
+        lines.append(f"construction bound exceeded: span {span} > {bound}")
+    return lines
+
+
+def _label_point(
+    rep: Representation, params: LpqParams
+) -> tuple[Labeling, BoundReport, list[str], tuple[int, int, int]]:
+    """Label ``rep``, report its bound and validate it: the labeling, the
+    report, the failure lines and the nanoseconds of those three stages."""
+    g = derive_graph(rep)
+    t0 = time.perf_counter_ns()
+    lab = label_instance(rep, params)
+    t1 = time.perf_counter_ns()
+    report = bound_report(rep, lab, params)
+    t2 = time.perf_counter_ns()
+    violations = validate(g, lab)
+    t3 = time.perf_counter_ns()
+    failures = _failures(violations, report, construction=True)
+    return lab, report, failures, (t1 - t0, t2 - t1, t3 - t2)
+
+
 def cmd_label(args: argparse.Namespace) -> int:
     rep = _load_instance(args.infile)
-    params = LpqParams(args.p, args.q)
-    lab = label_instance(rep, params)
-    report = bound_report(rep, lab, params)
+    lab, report, failures, _ = _label_point(rep, LpqParams(args.p, args.q))
     if args.out:
         Path(args.out).write_bytes(serialize_labeling(lab))
     report_json = json.dumps([report.to_dict()], indent=2) + "\n"
@@ -200,21 +238,9 @@ def cmd_label(args: argparse.Namespace) -> int:
             )
             + "\n"
         )
-    g = derive_graph(rep)
-    if validate(g, lab):
-        print("labeler produced an invalid labeling", file=sys.stderr)
-        return 1
-    if not report.holds and not report.report_only:
-        print(
-            f"bound violated: span {report.achieved_span} > {report.formula_value}",
-            file=sys.stderr,
-        )
-        return 1
-    error = _construction_error(report)
-    if error:
-        print(error, file=sys.stderr)
-        return 1
-    return 0
+    for line in failures:
+        print(line, file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -243,11 +269,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         "report": report.to_dict(),
     }
     _write_or_print(json.dumps(doc, indent=2) + "\n", args.out)
-    if violations:
-        return 1
-    if not report.holds and not report.report_only:
-        return 1
-    return 0
+    return 1 if _failures(violations, report, construction=False) else 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -284,35 +306,22 @@ def _parse_pq(values: Sequence[str] | None) -> list[tuple[int, int]]:
     return pairs
 
 
-def _construction_error(report: BoundReport) -> str:
-    """The failure line when an arc labeling exceeds the split
-    construction's own bound, else "".  Only ``label`` and ``bench`` use
-    it: ``check`` validates labelings made elsewhere."""
-    bound = report.construction_value
-    if bound is None or report.achieved_span <= bound:
-        return ""
-    return f"construction bound exceeded: span {report.achieved_span} > {bound}"
-
-
-def _bench_instance(task: tuple) -> list[dict[str, Any]]:
+def _bench_instance(task: tuple) -> tuple[list[dict[str, Any]], list[str]]:
     cfg, index, pairs, cap = task
+    seed = cfg.seed + index
     rep = cfg.instance(index)
     g = derive_graph(rep)
     rows = []
+    errors = []
     for p, q in pairs:
         params = LpqParams(p, q)
-        t0 = time.perf_counter_ns()
-        lab = label_instance(rep, params)
-        t1 = time.perf_counter_ns()
-        report = bound_report(rep, lab, params)
-        t2 = time.perf_counter_ns()
-        bad = bool(validate(g, lab))
-        t3 = time.perf_counter_ns()
+        lab, report, failures, ns = _label_point(rep, params)
+        errors += [f"seed {seed} ({p},{q}): {line}" for line in failures]
         lam = exact_lambda(g, params, n_cap=cap) if g.n <= cap else None
         rows.append(
             {
                 "class": cfg.kind,
-                "seed": cfg.seed + index,
+                "seed": seed,
                 "n": g.n,
                 "p": p,
                 "q": q,
@@ -323,15 +332,12 @@ def _bench_instance(task: tuple) -> list[dict[str, Any]]:
                 "bound": report.formula_value,
                 "holds": report.holds,
                 "lambda_exact": lam,
-                "runtime_us": (t1 - t0) // 1000,
-                "report_us": (t2 - t1) // 1000,
-                "validate_us": (t3 - t2) // 1000,
-                "_invalid": bad,
-                "_report_only": report.report_only,
-                "_construction_error": _construction_error(report),
+                "runtime_us": ns[0] // 1000,
+                "report_us": ns[1] // 1000,
+                "validate_us": ns[2] // 1000,
             }
         )
-    return rows
+    return rows, errors
 
 
 def _map_tasks(worker, tasks: list, jobs: int) -> list:
@@ -348,14 +354,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     pairs = _parse_pq(args.pq)
     tasks = [(cfg, idx, pairs, args.cap) for idx in range(cfg.count)]
     results = _map_tasks(_bench_instance, tasks, args.jobs)
-    rows = [row for chunk in results for row in chunk]
-    failed = False
-    for row in rows:
-        invalid, report_only = row.pop("_invalid"), row.pop("_report_only")
-        error = row.pop("_construction_error")
-        failed |= invalid or (not row["holds"] and not report_only) or bool(error)
-        if error:
-            print(f"seed {row['seed']} ({row['p']},{row['q']}): {error}", file=sys.stderr)
+    rows = [row for chunk, _ in results for row in chunk]
+    errors = [line for _, lines in results for line in lines]
+    for line in errors:
+        print(line, file=sys.stderr)
     if args.format == "json":
         payload = json.dumps(rows, indent=2) + "\n"
     else:
@@ -372,7 +374,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             writer.writerow(out)
         payload = buf.getvalue()
     _write_or_print(payload, args.out)
-    return 1 if failed else 0
+    return 1 if errors else 0
 
 
 def _claims_instance(task: tuple) -> list[dict[str, Any]]:

@@ -11,7 +11,21 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+
+
+_T = TypeVar("_T")
+
+
+def _memo(obj: Any, name: str, build: Callable[[Any], _T]) -> _T:
+    """``build(obj)``, computed once and kept in the instance ``__dict__``
+    the way ``functools.cached_property`` keeps it: equality, hashing and
+    printing see the object's own fields alone, and the value is freed
+    together with ``obj``.  Graphs and representations memoise this way."""
+    memo = obj.__dict__
+    if name not in memo:
+        memo[name] = build(obj)
+    return memo[name]
 
 
 class GraphError(ValueError):
@@ -38,14 +52,10 @@ class Graph:
     :func:`build_graph` for validated construction from an edge list.
     """
 
-    __slots__ = ("n", "adj_mask", "m", "_dist2", "_stats")
-
     def __init__(self, n: int, masks: Sequence[int]):
         self.n = n
         self.adj_mask: tuple[int, ...] = tuple(masks)
         self.m = sum(mk.bit_count() for mk in self.adj_mask) // 2
-        self._dist2: tuple[int, ...] | None = None
-        self._stats: GraphStats | None = None
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj_mask[u] >> v & 1)
@@ -64,22 +74,9 @@ class Graph:
         built by doubling.  Byte b of row v is N(v) within block b, so it
         picks from block b's table all that v reaches through those
         neighbours.  That is about n**2 / 8 table lookups, with one table
-        alive at a time.
+        alive at a time.  Memoised on the graph and freed with it.
         """
-        if self._dist2 is None:
-            adj = self.adj_mask
-            nb = (self.n + 7) >> 3
-            rows = b"".join([mk.to_bytes(nb, "little") for mk in adj])
-            reach = [0] * self.n
-            for b in range(nb):
-                table = [0]
-                for mk in adj[8 * b : 8 * b + 8]:
-                    table += [x | mk for x in table]
-                reach = list(map(or_, reach, map(table.__getitem__, rows[b::nb])))
-            self._dist2 = tuple(
-                [r & ~(mk | 1 << v) for v, r, mk in zip(range(self.n), reach, adj)]
-            )
-        return self._dist2
+        return _memo(self, "_dist2", _dist2_masks)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -91,6 +88,19 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _dist2_masks(g: Graph) -> tuple[int, ...]:
+    adj = g.adj_mask
+    nb = (g.n + 7) >> 3
+    rows = b"".join([mk.to_bytes(nb, "little") for mk in adj])
+    reach = [0] * g.n
+    for b in range(nb):
+        table = [0]
+        for mk in adj[8 * b : 8 * b + 8]:
+            table += [x | mk for x in table]
+        reach = list(map(or_, reach, map(table.__getitem__, rows[b::nb])))
+    return tuple([r & ~(mk | 1 << v) for v, r, mk in zip(range(g.n), reach, adj)])
 
 
 @dataclass(frozen=True)
@@ -170,9 +180,7 @@ def compute_stats(g: Graph) -> GraphStats:
     scan pruned by degree (see ``_multiplicities``); the non-adjacent one
     reads the memoised :meth:`Graph.dist2_masks`.
     """
-    if g._stats is None:
-        g._stats = _compute_stats(g)
-    return g._stats
+    return _memo(g, "_stats", _compute_stats)
 
 
 def _multiplicities(g: Graph, degrees: Sequence[int]) -> tuple[int, int]:

@@ -164,17 +164,10 @@ def serialize_instance(rep: Representation) -> bytes:
     )
 
 
-def _require(entry: dict, key: str, vid: Any) -> Any:
-    if key not in entry:
-        raise InstanceFormatError(f"vertex {vid}: missing field {key!r}")
-    val = entry[key]
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise InstanceFormatError(f"vertex {vid}: field {key!r} must be an integer")
-    return val
+def _json_object(data: bytes | str, error: type[ValueError]) -> dict:
+    """The JSON object ``data`` holds; ``error`` for any other document.
 
-
-def parse_instance(data: bytes | str) -> Representation:
-    """Parse an instance document, validating schema and rep invariants."""
+    Shared by the instance and labeling formats."""
     # ValueError covers bad UTF-8, bad syntax and integer literals over
     # the interpreter's digit limit; deep nesting exhausts the recursion
     # limit inside the decoder.
@@ -183,9 +176,29 @@ def parse_instance(data: bytes | str) -> Representation:
             data = data.decode("utf-8")
         doc = json.loads(data)
     except (ValueError, RecursionError) as exc:
-        raise InstanceFormatError(f"invalid JSON: {exc}") from exc
+        raise error(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise InstanceFormatError("top-level value must be an object")
+        raise error("top-level value must be an object")
+    return doc
+
+
+def _is_int(val: Any) -> bool:
+    """Whether a decoded JSON value is an integer (an int, not a bool)."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _require(entry: dict, key: str, vid: Any) -> Any:
+    if key not in entry:
+        raise InstanceFormatError(f"vertex {vid}: missing field {key!r}")
+    val = entry[key]
+    if not _is_int(val):
+        raise InstanceFormatError(f"vertex {vid}: field {key!r} must be an integer")
+    return val
+
+
+def parse_instance(data: bytes | str) -> Representation:
+    """Parse an instance document, validating schema and rep invariants."""
+    doc = _json_object(data, InstanceFormatError)
     kind = doc.get("class")
     if kind not in REP_KINDS:
         raise InstanceFormatError(
@@ -218,7 +231,7 @@ def parse_instance(data: bytes | str) -> Representation:
             if "circumference" not in doc:
                 raise InstanceFormatError("circular_arc instance missing 'circumference'")
             circ = doc["circumference"]
-            if not isinstance(circ, int) or isinstance(circ, bool):
+            if not _is_int(circ):
                 raise InstanceFormatError("'circumference' must be an integer")
             arcs = [(_require(e, "s", vid), _require(e, "e", vid)) for vid, e in rows]
             return CircularArcRep(tuple(arcs), circ)
@@ -227,7 +240,7 @@ def parse_instance(data: bytes | str) -> Representation:
             if "k" not in doc:
                 raise InstanceFormatError("interval_k instance missing 'k'")
             kval = doc["k"]
-            if not isinstance(kval, int) or isinstance(kval, bool):
+            if not _is_int(kval):
                 raise InstanceFormatError("'k' must be an integer")
             cls = [_require(e, "class", vid) for vid, e in rows]
             return IntervalKRep(tuple(iv), tuple(cls), kval)

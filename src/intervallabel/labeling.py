@@ -1,5 +1,6 @@
-"""Greedy L(p,q) labelers for the five representation families, plus the
-closed-form span bounds they are checked against.
+"""Greedy L(p,q) labelers for the five representation families and the
+JSON labeling format.  The closed-form span bounds the labelings are
+checked against live in ``verify``, apart from the labelers.
 
 A labeling f assigns non-negative integers to vertices so that labels of
 adjacent vertices differ by at least p and labels of vertices at distance
@@ -32,7 +33,8 @@ from functools import reduce
 from operator import or_, sub
 from typing import Any, Iterable, Sequence
 
-from .graph import Graph, GraphStats
+from .graph import Graph
+from .instances import _is_int, _json_object
 from .reps import (
     CircularArcRep,
     ContainmentRep,
@@ -87,10 +89,6 @@ class Labeling:
 
 class LabelingFormatError(ValueError):
     """Labeling document is malformed."""
-
-
-def _is_int(val: Any) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool)
 
 
 def canonical_int(text: str) -> int:
@@ -223,20 +221,14 @@ def _first_fit(g: Graph, order: Iterable[int], p: int, q: int, labels: list[int]
             firsts.insert(i + 1, rest[0])
 
 
-def greedy_lpq(
-    g: Graph,
-    ordering: Sequence[int],
-    params: LpqParams,
-    *,
-    algorithm: str = "greedy",
-) -> Labeling:
+def greedy_lpq(g: Graph, ordering: Sequence[int], params: LpqParams) -> Labeling:
     """First-fit greedy: each vertex takes the smallest label outside the
     forbidden ranges [f(u)-p+1, f(u)+p-1] of its labeled neighbors and
     [f(u)-q+1, f(u)+q-1] of labeled vertices at distance exactly 2."""
     order = _check_permutation(g.n, ordering)
     labels = [0] * g.n
     _first_fit(g, order, params.p, params.q, labels)
-    return Labeling(tuple(labels), params.p, params.q, algorithm, tuple(order))
+    return Labeling(tuple(labels), params.p, params.q, "greedy", tuple(order))
 
 
 def defer_degree_one(g: Graph, base: Sequence[int]) -> list[int]:
@@ -268,7 +260,9 @@ def _rightpoint_deferred(rep: Representation, params: LpqParams, cls: type) -> L
         raise TypeError(f"expected {cls.__name__}, got {type(rep).__name__}")
     g = derive_graph(rep)
     order = defer_degree_one(g, rightpoint_order_desc(rep))
-    return greedy_lpq(g, order, params, algorithm="rightpoint-greedy")
+    labels = [0] * g.n
+    _first_fit(g, order, params.p, params.q, labels)
+    return Labeling(tuple(labels), params.p, params.q, "rightpoint-greedy", tuple(order))
 
 
 def label_interval_k(rep: IntervalKRep, params: LpqParams) -> Labeling:
@@ -326,90 +320,6 @@ def label_instance(rep: Representation, params: LpqParams) -> Labeling:
     return _LABELERS[rep.kind](rep, params)
 
 
-def class_bound(kind: str, params: LpqParams, stats: GraphStats) -> int:
-    """Closed-form span bound for the class, evaluated on ``stats``.
-
-    The circular-arc bound needs ``stats.omega``; ValueError without it.
-    """
-    p, q = params.p, params.q
-    dd = stats.max_degree
-    mu = stats.multiplicity
-    if kind == "interval":
-        return max(p, q) * dd
-    if kind == "interval_k":
-        return max(
-            2 * (p + q - 1) * dd - 4 * q + 2,
-            (2 * p - 1) * mu + (2 * q - 1) * dd - 2 * q + 1,
-        )
-    if kind == "circular_arc":
-        if stats.omega is None:
-            raise ValueError("clique number required for the circular-arc bound")
-        return max(p, q) * dd + p * stats.omega
-    if kind == "containment":
-        return 2 * (p + q - 1) * dd - 2 * q + 1
-    if kind == "interval_order":
-        return (2 * p - 1) * dd + (2 * q - 1) * (mu - 1)
-    raise ValueError(f"unknown class {kind!r}")
-
-
-def circular_construction_bound(
-    params: LpqParams, max_degree: int, clique_len: int
-) -> int:
-    """Span guaranteed by the split construction itself:
-    max(p,q)*Delta + max(p,q) + p*(|C| - 1) for cut clique C."""
-    m = params.max_sep
-    return m * max_degree + m + params.p * (clique_len - 1)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Achieved span of a labeling against the class's closed-form bound.
-
-    ``report_only`` marks reports whose formula is known to miss some
-    instances (see ``verify.bound_report``); there a failed bound is
-    reported but not treated as an error.
-    ``construction_value`` is the split construction's own guarantee,
-    recorded for circular-arc instances only.
-    """
-
-    kind: str
-    p: int
-    q: int
-    formula_value: int
-    achieved_span: int
-    holds: bool
-    stats: GraphStats
-    report_only: bool = False
-    construction_value: int | None = None
-    note: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "class": self.kind,
-            "p": self.p,
-            "q": self.q,
-            "bound": self.formula_value,
-            "span": self.achieved_span,
-            "holds": self.holds,
-            "report_only": self.report_only,
-            "stats": {
-                "n": self.stats.n,
-                "m": self.stats.m,
-                "max_degree": self.stats.max_degree,
-                "min_degree": self.stats.min_degree,
-                "multiplicity": self.stats.multiplicity,
-                "multiplicity_nonadjacent": self.stats.multiplicity_nonadjacent,
-                "is_connected": self.stats.is_connected,
-                "omega": self.stats.omega,
-            },
-        }
-        if self.construction_value is not None:
-            doc["construction_bound"] = self.construction_value
-        if self.note:
-            doc["note"] = self.note
-        return doc
-
-
 def labeling_to_dict(lab: Labeling) -> dict[str, Any]:
     return {
         "p": lab.p,
@@ -430,17 +340,7 @@ def serialize_labeling(lab: Labeling) -> bytes:
 
 def parse_labeling(data: bytes | str) -> Labeling:
     """Parse a labeling document; labels must cover ids 0..n-1 exactly."""
-    # ValueError covers bad UTF-8, bad syntax and integer literals over
-    # the interpreter's digit limit; deep nesting exhausts the recursion
-    # limit inside the decoder.
-    try:
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        doc = json.loads(data)
-    except (ValueError, RecursionError) as exc:
-        raise LabelingFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise LabelingFormatError("top-level value must be an object")
+    doc = _json_object(data, LabelingFormatError)
     for key in ("p", "q", "labels"):
         if key not in doc:
             raise LabelingFormatError(f"missing field {key!r}")

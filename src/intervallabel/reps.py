@@ -22,9 +22,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Sequence, TypeVar, Union, get_args
+from typing import Callable, ClassVar, Sequence, Union, get_args
 
-from .graph import Graph, iter_bits
+from .graph import Graph, _memo, iter_bits
 
 
 class RepError(ValueError):
@@ -167,20 +167,6 @@ Representation = Union[
 ]
 
 REP_KINDS = ("interval", "interval_k", "circular_arc", "containment", "interval_order")
-
-_T = TypeVar("_T")
-
-
-def _memo(rep: Any, name: str, build: Callable[[Any], _T]) -> _T:
-    """``build(rep)``, computed once and kept in the instance ``__dict__``
-    the way ``functools.cached_property`` keeps it: the frozen dataclass
-    compares, hashes and prints by its fields alone, and the value is
-    freed together with ``rep``."""
-    memo = rep.__dict__
-    if name not in memo:
-        memo[name] = build(rep)
-    return memo[name]
-
 
 def _below(keys: Sequence[int]) -> tuple[list[int], list[int]]:
     """Sorted ``keys`` and prefix masks: ``masks[i]`` holds the vertices

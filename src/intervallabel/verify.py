@@ -1,4 +1,5 @@
-"""Validation, exact oracles and structural-claim checks.
+"""Validation, the paper's span bounds, exact oracles and
+structural-claim checks.
 
 Everything here is deliberately independent of the greedy labelers: the
 validator reads only the adjacency masks and looks up, per vertex, the
@@ -7,6 +8,10 @@ sorted labels), so it never touches the distance-2 masks the labelers
 share; the exact oracles search label space directly, and the
 clique/coloring routines use separate branch-and-bound code paths.  That
 way a bug in a labeler cannot hide behind shared machinery.
+
+The paper's span bounds (``class_bound``, ``circular_construction_bound``)
+and the ``BoundReport`` live here beside ``bound_report``, which alone
+decides which reports are report-only, so no labeler holds its yardstick.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from typing import Any, Sequence
 from .graph import (
     CapExceededError,
     Graph,
+    GraphStats,
     clique_number_exact,
     compute_stats,
     find_2k2,
@@ -25,14 +31,7 @@ from .graph import (
     iter_bits,
     square,
 )
-from .labeling import (
-    BoundReport,
-    Labeling,
-    LpqParams,
-    circular_construction_bound,
-    class_bound,
-    greedy_lpq,
-)
+from .labeling import Labeling, LpqParams, greedy_lpq
 from .reps import (
     CircularArcRep,
     ContainmentRep,
@@ -471,6 +470,90 @@ def chi_square_exact(g: Graph, n_cap: int = 10) -> int:
     return ub
 
 
+def class_bound(kind: str, params: LpqParams, stats: GraphStats) -> int:
+    """Closed-form span bound for the class, evaluated on ``stats``.
+
+    The circular-arc bound needs ``stats.omega``; ValueError without it.
+    """
+    p, q = params.p, params.q
+    dd = stats.max_degree
+    mu = stats.multiplicity
+    if kind == "interval":
+        return max(p, q) * dd
+    if kind == "interval_k":
+        return max(
+            2 * (p + q - 1) * dd - 4 * q + 2,
+            (2 * p - 1) * mu + (2 * q - 1) * dd - 2 * q + 1,
+        )
+    if kind == "circular_arc":
+        if stats.omega is None:
+            raise ValueError("clique number required for the circular-arc bound")
+        return max(p, q) * dd + p * stats.omega
+    if kind == "containment":
+        return 2 * (p + q - 1) * dd - 2 * q + 1
+    if kind == "interval_order":
+        return (2 * p - 1) * dd + (2 * q - 1) * (mu - 1)
+    raise ValueError(f"unknown class {kind!r}")
+
+
+def circular_construction_bound(
+    params: LpqParams, max_degree: int, clique_len: int
+) -> int:
+    """Span guaranteed by the split construction itself:
+    max(p,q)*Delta + max(p,q) + p*(|C| - 1) for cut clique C."""
+    m = params.max_sep
+    return m * max_degree + m + params.p * (clique_len - 1)
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """Achieved span of a labeling against the class's closed-form bound.
+
+    ``report_only`` marks reports whose formula is known to miss some
+    instances (see ``verify.bound_report``); there a failed bound is
+    reported but not treated as an error.
+    ``construction_value`` is the split construction's own guarantee,
+    recorded for circular-arc instances only.
+    """
+
+    kind: str
+    p: int
+    q: int
+    formula_value: int
+    achieved_span: int
+    holds: bool
+    stats: GraphStats
+    report_only: bool = False
+    construction_value: int | None = None
+    note: str = ""
+
+    def to_dict(self) -> dict[str, Any]:
+        doc: dict[str, Any] = {
+            "class": self.kind,
+            "p": self.p,
+            "q": self.q,
+            "bound": self.formula_value,
+            "span": self.achieved_span,
+            "holds": self.holds,
+            "report_only": self.report_only,
+            "stats": {
+                "n": self.stats.n,
+                "m": self.stats.m,
+                "max_degree": self.stats.max_degree,
+                "min_degree": self.stats.min_degree,
+                "multiplicity": self.stats.multiplicity,
+                "multiplicity_nonadjacent": self.stats.multiplicity_nonadjacent,
+                "is_connected": self.stats.is_connected,
+                "omega": self.stats.omega,
+            },
+        }
+        if self.construction_value is not None:
+            doc["construction_bound"] = self.construction_value
+        if self.note:
+            doc["note"] = self.note
+        return doc
+
+
 def bound_report(rep: Representation, lab: Labeling, params: LpqParams) -> BoundReport:
     """Evaluate the class bound for ``rep`` against the achieved span.
 
@@ -644,11 +727,11 @@ def _claim_cointerval_equivalence(rep: IntervalOrderRep, g: Graph) -> ClaimCheck
 
 
 _CLAIMS = {
-    "interval-dominator": (IntervalRep, _claim_interval_dominator),
-    "containment-nesting": (ContainmentRep, _claim_containment_nesting),
-    "order-min-adjacency": (IntervalOrderRep, _claim_order_min_adjacency),
-    "order-min-cover": (IntervalOrderRep, _claim_order_min_cover),
-    "cointerval-equivalence": (IntervalOrderRep, _claim_cointerval_equivalence),
+    "interval-dominator": _claim_interval_dominator,
+    "containment-nesting": _claim_containment_nesting,
+    "order-min-adjacency": _claim_order_min_adjacency,
+    "order-min-cover": _claim_order_min_cover,
+    "cointerval-equivalence": _claim_cointerval_equivalence,
 }
 
 CLAIMS_BY_KIND = {
@@ -683,4 +766,4 @@ def check_structural_claims(
                 )
         selected = tuple(claims)
     g = derive_graph(rep)
-    return [_CLAIMS[name][1](rep, g) for name in selected]
+    return [_CLAIMS[name](rep, g) for name in selected]

@@ -36,7 +36,7 @@ from intervallabel import (
     validate,
 )
 from intervallabel.cli import main
-from intervallabel.labeling import circular_construction_bound
+from intervallabel.verify import circular_construction_bound
 from intervallabel.reps import REP_KINDS, split_circular
 
 GRID = ((1, 1), (2, 1), (3, 1), (3, 2), (1, 2), (2, 3))

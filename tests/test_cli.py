@@ -4,11 +4,13 @@ import csv
 import json
 import io
 import time
+from dataclasses import replace
 
 import pytest
 
 from intervallabel import (
     IntervalOrderRep,
+    Labeling,
     derive_graph,
     gen_instance,
     parse_labeling,
@@ -29,6 +31,25 @@ def _p3_instance(tmp_path):
     from intervallabel import IntervalRep
 
     return _write_instance(tmp_path, IntervalRep(((0, 1), (1, 2), (2, 3))))
+
+
+def _scaled_labeler(factor):
+    """A stand-in for ``label_instance`` that multiplies every label by
+    ``factor``: 0 gives an invalid all-zero labeling, a large factor a
+    valid labeling far above any bound."""
+    real = cli.label_instance
+
+    def label(rep, params):
+        lab = real(rep, params)
+        return replace(lab, labels=tuple(factor * f for f in lab.labels))
+
+    return label
+
+
+SCALED_FAILURES = [
+    (0, "labeler produced an invalid labeling"),
+    (1000, "bound violated: span {span} > {bound}"),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +290,36 @@ def test_label_arc_over_construction_bound_exits_one(tmp_path, capsys):
     assert (doc["span"], doc["construction_bound"], doc["holds"]) == (20, 18, True)
     assert "construction bound exceeded: span 20 > 18" in capsys.readouterr().err
     assert main(["check", "--in", inst, "--labeling", str(out)]) == 0
+
+
+@pytest.mark.parametrize("factor, line", SCALED_FAILURES)
+def test_label_failure_exits_one(tmp_path, capsys, monkeypatch, factor, line):
+    monkeypatch.setattr(cli, "label_instance", _scaled_labeler(factor))
+    inst = _p3_instance(tmp_path)
+    assert main(["label", "--in", inst, "--p", "2", "--q", "1"]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)["report"]
+    assert (report["class"], report["report_only"]) == ("interval", False)
+    assert captured.err == line.format(**report) + "\n"
+
+
+def test_label_names_every_failure_in_order(tmp_path, capsys, monkeypatch):
+    """An invalid labeling over both the paper bound and the split
+    construction's bound gets all three lines, in that order."""
+    rep = gen_instance("circular_arc", 24, 118, density=0.2)
+    inst = _write_instance(tmp_path, rep)
+    labels = (0,) * (rep.n - 1) + (10**6,)
+    monkeypatch.setattr(
+        cli, "label_instance", lambda rep, params: Labeling(labels, params.p, params.q)
+    )
+    assert main(["label", "--in", inst, "--p", "2", "--q", "1"]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)["report"]
+    assert captured.err.splitlines() == [
+        "labeler produced an invalid labeling",
+        f"bound violated: span 1000000 > {report['bound']}",
+        f"construction bound exceeded: span 1000000 > {report['construction_bound']}",
+    ]
 
 
 @pytest.mark.parametrize("pq", [(10**18, 1), (3, 10**18)], ids=["p", "q"])
@@ -674,6 +725,20 @@ def test_bench_arc_construction_bound_fails_run(capsys):
     (row,) = json.loads(captured.out)
     assert (row["omega"], row["span"], row["bound"], row["holds"]) == (38, 204, 250, True)
     assert "construction bound exceeded: span 204 > 198" in captured.err
+
+
+@pytest.mark.parametrize("factor, line", SCALED_FAILURES)
+def test_bench_failure_exits_one_and_is_named(capsys, monkeypatch, factor, line):
+    monkeypatch.setattr(cli, "label_instance", _scaled_labeler(factor))
+    rc = main(["bench", "--class", "interval", "--n", "6", "--seed", "3",
+               "--count", "2", "--pq", "2,1", "--format", "json"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)
+    assert [row["seed"] for row in rows] == [3, 4]
+    assert captured.err.splitlines() == [
+        f"seed {row['seed']} (2,1): " + line.format(**row) for row in rows
+    ]
 
 
 def test_bench_bad_pq(capsys):

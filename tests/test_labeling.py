@@ -43,7 +43,8 @@ from intervallabel import (
     validate,
 )
 from intervallabel.graph import iter_bits
-from intervallabel.labeling import Labeling, circular_construction_bound
+from intervallabel.labeling import Labeling
+from intervallabel.verify import circular_construction_bound
 from intervallabel.reps import REP_KINDS, rightpoint_order_desc
 
 P21 = LpqParams(2, 1)

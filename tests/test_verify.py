@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import intervallabel
 from intervallabel import (
     CapExceededError,
     ContainmentRep,
@@ -512,6 +513,36 @@ def test_bound_report_circular(twelve_arc_rep):
     assert rpt.construction_value == 10
     assert rpt.stats.omega == 3
     assert rpt.to_dict()["construction_bound"] == 10
+
+
+PACKAGE_EXPORTS = [
+    "BoundReport", "CapExceededError", "CircularArcRep", "CircularSplit",
+    "ClaimCheck", "ClaimReport", "ContainmentRep", "Graph", "GraphError",
+    "GraphStats", "InstanceFormatError", "IntervalKRep", "IntervalOrderRep",
+    "IntervalRep", "Labeling", "LabelingFormatError", "LpqParams", "RepError",
+    "Violation", "arc_clique_number", "bound_report", "build_graph",
+    "check_structural_claims", "chi_square_exact", "class_bound",
+    "clique_number_exact", "compute_stats", "defer_degree_one", "derive_graph",
+    "dist2_set", "exact_lambda", "find_2k2", "gen_instance", "greedy_lpq",
+    "is_2k2_free", "is_connected", "label_circular_arc", "label_cointerval",
+    "label_instance", "label_interval", "label_interval_k", "label_permutation",
+    "minimal_elements", "parse_instance", "parse_labeling", "rightpoint_order_desc",
+    "serialize_instance", "serialize_labeling", "split_circular", "square",
+    "validate",
+]
+
+
+def test_bounds_come_from_verify_and_exports_are_unchanged():
+    """The bound formulas and the report type live beside ``bound_report``;
+    the labeling module neither defines nor imports them."""
+    assert intervallabel.__all__ == PACKAGE_EXPORTS
+    for name in PACKAGE_EXPORTS:
+        assert hasattr(intervallabel, name), name
+    for name in ("class_bound", "BoundReport", "circular_construction_bound"):
+        assert getattr(verify, name).__module__ == "intervallabel.verify", name
+        assert not hasattr(labeling, name), name
+    assert intervallabel.class_bound is verify.class_bound
+    assert intervallabel.BoundReport is verify.BoundReport
 
 
 # ---------------------------------------------------------------------------
