@@ -63,6 +63,7 @@ from .verify import (
     _EXACT_N_CEILING,
     CLAIMS_BY_KIND,
     BoundReport,
+    ClaimCheck,
     ClaimReport,
     Violation,
     bound_report,
@@ -377,19 +378,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 1 if errors else 0
 
 
-def _claims_instance(task: tuple) -> list[dict[str, Any]]:
+def _claims_instance(task: tuple) -> tuple[int, list[ClaimCheck]]:
     cfg, index, claims = task
-    rep = cfg.instance(index)
-    checks = check_structural_claims(rep, claims)
-    return [
-        {
-            "claim": c.claim,
-            "applicable": c.applicable,
-            "witnesses": [list(w) for w in c.witnesses],
-            "seed": cfg.seed + index,
-        }
-        for c in checks
-    ]
+    return cfg.seed + index, check_structural_claims(cfg.instance(index), claims)
 
 
 def cmd_claims(args: argparse.Namespace) -> int:
@@ -403,25 +394,18 @@ def cmd_claims(args: argparse.Namespace) -> int:
     claims = tuple(args.claim) if args.claim else None
     tasks = [(cfg, idx, claims) for idx in range(cfg.count)]
     results = _map_tasks(_claims_instance, tasks, args.jobs)
-    agg: dict[str, dict[str, Any]] = {}
-    for chunk in results:
-        for item in chunk:
-            slot = agg.setdefault(
-                item["claim"], {"checked": 0, "applicable": 0, "violations": []}
-            )
-            slot["checked"] += 1
-            if item["applicable"]:
-                slot["applicable"] += 1
-            for w in item["witnesses"]:
-                slot["violations"].append((item["seed"], tuple(w)))
+    by_claim: dict[str, list[tuple[int, ClaimCheck]]] = {}
+    for seed, checks in results:
+        for check in checks:
+            by_claim.setdefault(check.claim, []).append((seed, check))
     reports = [
         ClaimReport(
             claim=name,
-            checked=slot["checked"],
-            applicable=slot["applicable"],
-            violations=tuple(slot["violations"]),
+            checked=len(runs),
+            applicable=sum(check.applicable for _, check in runs),
+            violations=tuple((seed, w) for seed, check in runs for w in check.witnesses),
         )
-        for name, slot in sorted(agg.items())
+        for name, runs in sorted(by_claim.items())
     ]
     payload = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
     _write_or_print(payload, args.out)
@@ -542,10 +526,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(f"--cap {args.cap} is above the exact-search ceiling {_EXACT_N_CEILING}")
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RepError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

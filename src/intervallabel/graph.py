@@ -236,49 +236,22 @@ def _compute_stats(g: Graph) -> GraphStats:
     )
 
 
-def greedy_clique_mask(g: Graph) -> int:
-    """Bitmask of a maximal clique found greedily; a lower-bound witness."""
-    best = 0
-    order = sorted(range(g.n), key=lambda v: -g.adj_mask[v].bit_count())
-    for start in order[: min(g.n, 8)]:
-        mask = 1 << start
-        cand = g.adj_mask[start]
-        while cand:
-            pick = -1
-            pick_deg = -1
-            for v in iter_bits(cand):
-                d = (cand & g.adj_mask[v]).bit_count()
-                if d > pick_deg:
-                    pick, pick_deg = v, d
-            mask |= 1 << pick
-            cand &= g.adj_mask[pick]
-        if mask.bit_count() > best.bit_count():
-            best = mask
-    return best
+def max_clique_mask(g: Graph) -> int:
+    """Bitmask of a maximum clique of ``g`` (0 for the empty graph).
 
-
-def clique_number_exact(g: Graph, cap: int = 64) -> int:
-    """Exact clique number by branch and bound.
-
-    Candidates are greedily colored at each node; a branch is cut when
-    the current clique plus the candidate's color class index cannot
-    beat the incumbent.  Raises CapExceededError when n > cap.
+    Branch and bound from an empty incumbent: the candidates are greedily
+    colored at each node, and a branch is cut when the current clique
+    plus the candidate's color class index cannot beat the incumbent.
     """
-    if g.n > cap:
-        raise CapExceededError(
-            f"instance too large for exact clique search: n={g.n} > cap={cap}"
-        )
-    n = g.n
-    if n == 0:
-        return 0
     adjm = g.adj_mask
-    best = greedy_clique_mask(g).bit_count()
+    best = 0
+    best_size = 0
 
-    def expand(cand: int, size: int) -> None:
-        nonlocal best
+    def expand(cand: int, clique: int, size: int) -> None:
+        nonlocal best, best_size
         if cand == 0:
-            if size > best:
-                best = size
+            if size > best_size:
+                best, best_size = clique, size
             return
         order: list[tuple[int, int]] = []
         remaining = cand
@@ -294,13 +267,25 @@ def clique_number_exact(g: Graph, cap: int = 64) -> int:
                 remaining ^= lsb
                 order.append((v, color))
         for v, c in reversed(order):
-            if size + c <= best:
+            if size + c <= best_size:
                 return
-            expand(cand & adjm[v], size + 1)
+            expand(cand & adjm[v], clique | 1 << v, size + 1)
             cand ^= 1 << v
 
-    expand((1 << n) - 1, 0)
+    expand((1 << g.n) - 1, 0, 0)
     return best
+
+
+def clique_number_exact(g: Graph, cap: int = 64) -> int:
+    """Exact clique number: the size of :func:`max_clique_mask`.
+
+    Raises CapExceededError when n > cap.
+    """
+    if g.n > cap:
+        raise CapExceededError(
+            f"instance too large for exact clique search: n={g.n} > cap={cap}"
+        )
+    return max_clique_mask(g).bit_count()
 
 
 def find_2k2(g: Graph) -> tuple[int, int, int, int] | None:

@@ -24,16 +24,14 @@ from .graph import (
     CapExceededError,
     Graph,
     GraphStats,
-    clique_number_exact,
     compute_stats,
     find_2k2,
-    greedy_clique_mask,
     iter_bits,
+    max_clique_mask,
     square,
 )
-from .labeling import Labeling, LpqParams, greedy_lpq
+from .labeling import Labeling, LpqParams
 from .reps import (
-    CircularArcRep,
     ContainmentRep,
     IntervalOrderRep,
     IntervalRep,
@@ -148,7 +146,7 @@ def _feasible(
     p: int,
     q: int,
     span: int,
-    budget: int | None = None,
+    budget: int,
     hall_cuts: tuple[tuple[int, int], ...] = (),
 ) -> bool:
     """Is there a valid L1 labeling of g with labels inside [0, span]?
@@ -184,7 +182,7 @@ def _feasible(
     def bt(unassigned: int, doms: list[int]) -> bool:
         nonlocal nodes
         nodes += 1
-        if budget is not None and nodes > budget:
+        if nodes > budget:
             raise _BudgetExceeded
         if unassigned == 0:
             return True
@@ -355,12 +353,14 @@ def exact_lambda(g: Graph, params: LpqParams, n_cap: int = 12) -> int:
     A complete square with 2*min(p,q) >= max(p,q) is answered first, by
     a cheapest Hamiltonian path (``_lambda_path_dp``).  Every other
     graph gets a binary search over the monotone feasibility predicate,
-    between clique lower bounds (cliques of g, of its distance-2 graph,
-    and of its square force pairwise p-, q- and min(p,q)-separation; a
-    max-degree vertex plus its neighborhood needs Delta+1 distinct
-    labels) and the best span of two first-fit greedy runs that
-    ``validate`` accepts, else (n-1)*max(p,q): the search never probes
-    its upper bound, so it must not trust the labelers.  The same
+    between two bounds read off the graph alone, never off a labeler.
+    The lower bound is the largest (|K|-1)*sep over one maximum clique K
+    each of g, of its distance-2 graph and of its square, with sep p, q
+    and min(p,q): their members need pairwise sep-separated labels
+    (Griggs-Yeh).  That covers Delta too, since a max-degree vertex and
+    its neighbours are a clique of the square.  The upper bound colours
+    the square greedily with k colours and labels colour c with
+    c*max(p,q), a valid labeling of span (k-1)*max(p,q).  The same three
     cliques feed pigeonhole cuts into the probes.  When a probe blows
     its node budget the question is re-solved whole by the label-sweep
     dynamic program.  Raises CapExceededError when n > n_cap or n > 14,
@@ -379,28 +379,15 @@ def exact_lambda(g: Graph, params: LpqParams, n_cap: int = 12) -> int:
     if sq.m == g.n * (g.n - 1) // 2 and 2 * min(p, q) >= max(p, q):
         return _lambda_path_dp(g, p, q)
     by_sqdeg = sorted(range(g.n), key=lambda v: (-sq.adj_mask[v].bit_count(), v))
-    ub = (g.n - 1) * max(p, q)
-    for order in (range(g.n), by_sqdeg):
-        lab = greedy_lpq(g, order, params)
-        if not validate(g, lab, params):
-            ub = min(ub, lab.span)
-    d2g = Graph(g.n, g.dist2_masks())
-    lb = max(
-        max(mk.bit_count() for mk in g.adj_mask),
-        (clique_number_exact(g, cap=g.n) - 1) * p,
-        (clique_number_exact(d2g, cap=g.n) - 1) * q,
-        (clique_number_exact(sq, cap=g.n) - 1) * min(p, q),
+    cliques = (
+        (max_clique_mask(g), p),
+        (max_clique_mask(Graph(g.n, g.dist2_masks())), q),
+        (max_clique_mask(sq), min(p, q)),
     )
-    cuts: list[tuple[int, int]] = []
-    for mask, sep in (
-        (greedy_clique_mask(g), p),
-        (greedy_clique_mask(d2g), q),
-        (greedy_clique_mask(sq), min(p, q)),
-    ):
-        if mask.bit_count() >= 2 and (mask, sep) not in cuts:
-            cuts.append((mask, sep))
-    hall_cuts = tuple(cuts)
-    lo, hi = lb, ub
+    lo = max((mask.bit_count() - 1) * sep for mask, sep in cliques)
+    hi = (_greedy_coloring_count(sq, by_sqdeg) - 1) * max(p, q)
+    # dict.fromkeys drops a repeated (mask, sep) and keeps the order
+    hall_cuts = tuple(dict.fromkeys(c for c in cliques if c[0].bit_count() >= 2))
     try:
         while lo < hi:
             mid = (lo + hi) // 2
@@ -451,8 +438,9 @@ def chi_square_exact(g: Graph, n_cap: int = 10) -> int:
     """Exact chromatic number of the square of ``g``.
 
     Independent of the L(1,1) oracle: colors the square graph directly
-    with branch and bound between a clique lower bound and a greedy
-    upper bound.  Raises CapExceededError when n > n_cap.
+    with branch and bound between the size of a maximum clique of the
+    square and a greedy upper bound.  Raises CapExceededError when
+    n > n_cap.
     """
     if g.n > n_cap:
         raise CapExceededError(
@@ -462,7 +450,7 @@ def chi_square_exact(g: Graph, n_cap: int = 10) -> int:
         return 0
     sq = square(g)
     order = sorted(range(sq.n), key=lambda v: -sq.adj_mask[v].bit_count())
-    lb = clique_number_exact(sq, cap=max(sq.n, 1))
+    lb = max_clique_mask(sq).bit_count()
     ub = _greedy_coloring_count(sq, order)
     for k in range(lb, ub):
         if _k_colorable(sq, k, order):

@@ -23,7 +23,7 @@ from intervallabel import (
     is_connected,
     square,
 )
-from intervallabel.graph import Graph, greedy_clique_mask, iter_bits
+from intervallabel.graph import Graph, iter_bits, max_clique_mask
 from intervallabel.reps import REP_KINDS
 
 THREE_CLASS_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)]
@@ -340,24 +340,16 @@ def test_clique_number_matches_subset_enumeration():
                     best = size
                     break
         assert clique_number_exact(g) == best
+        members = list(iter_bits(max_clique_mask(g)))
+        assert len(members) == best
+        for u, v in itertools.combinations(members, 2):
+            assert g.has_edge(u, v)
 
 
 def test_clique_number_cap():
     g = build_graph(5, [])
     with pytest.raises(CapExceededError):
         clique_number_exact(g, cap=4)
-
-
-def test_greedy_clique_mask_is_a_clique():
-    rng = random.Random(57)
-    for _ in range(50):
-        n = rng.randint(1, 12)
-        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
-        g = build_graph(n, edges)
-        members = list(iter_bits(greedy_clique_mask(g)))
-        assert members
-        for u, v in itertools.combinations(members, 2):
-            assert g.has_edge(u, v)
 
 
 def test_2k2_detection():

@@ -7,10 +7,12 @@ recursive enumeration.  The reference validator is the plain loop over
 vertex pairs that the label-window validator replaced.
 """
 
+import ast
 import random
 import tracemalloc
 from collections import deque
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -378,13 +380,13 @@ def test_internal_solvers_agree():
 
 def test_path_dp_agrees_on_complete_squares(monkeypatch):
     """A complete square with 2 min(p,q) >= max(p,q) is answered by the
-    path program alone: no greedy bound, no feasibility probe."""
+    path program alone: no colouring bound, no feasibility probe."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("complete squares must not reach the search")
 
     monkeypatch.setattr(verify, "_feasible", refuse)
-    monkeypatch.setattr(verify, "greedy_lpq", refuse)
+    monkeypatch.setattr(verify, "_greedy_coloring_count", refuse)
     cases = [
         (3, [(0, 1), (1, 2)]),
         (4, [(0, 1), (0, 2), (0, 3)]),
@@ -423,6 +425,21 @@ def test_exact_lambda_survives_a_broken_labeler(monkeypatch, n, edges, pq):
     g = build_graph(n, edges)
     assert greedy_lpq(g, range(n), LpqParams(*pq)).span == 0
     assert exact_lambda(g, LpqParams(*pq)) == _naive_lambda(n, edges, *pq)
+
+
+def test_exact_lambda_calls_no_labeler_and_no_validator(monkeypatch):
+    """Both bounds of the bisection come from the graph alone: P4 at (3,1)
+    has a square that is not complete, so it reaches the search, and it is
+    still answered with every labeler entry point and ``validate`` broken."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact oracle must not call a labeler or the validator")
+
+    monkeypatch.setattr(labeling, "_first_fit", refuse)
+    monkeypatch.setattr(labeling, "greedy_lpq", refuse)
+    monkeypatch.setattr(verify, "validate", refuse)
+    edges = [(0, 1), (1, 2), (2, 3)]
+    assert exact_lambda(build_graph(4, edges), LpqParams(3, 1)) == _naive_lambda(4, edges, 3, 1)
 
 
 def test_chi_square_pins():
@@ -543,6 +560,36 @@ def test_bounds_come_from_verify_and_exports_are_unchanged():
         assert not hasattr(labeling, name), name
     assert intervallabel.class_bound is verify.class_bound
     assert intervallabel.BoundReport is verify.BoundReport
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    read = {"annotations"}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_every_module_reads_what_it_imports():
+    """The unused-import check, with no linter installed: each name a
+    module imports is read somewhere in it.  Names in ``__all__`` count as
+    read, and so does the ``annotations`` future import."""
+    package = Path(intervallabel.__file__).parent
+    unused = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if (names := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
 
 
 # ---------------------------------------------------------------------------
