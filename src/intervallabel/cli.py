@@ -61,7 +61,9 @@ from .labeling import (
 from .reps import REP_KINDS, Representation, RepError, derive_graph
 from .verify import (
     _EXACT_N_CEILING,
+    _EXACT_SEP_CEILING,
     CLAIMS_BY_KIND,
+    VARIANTS,
     BoundReport,
     ClaimCheck,
     ClaimReport,
@@ -280,6 +282,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     try:
         lam = exact_lambda(g, params, n_cap=args.cap)
     except CapExceededError as exc:
+        if params.max_sep > _EXACT_SEP_CEILING:
+            raise CliError(str(exc)) from exc
         if g.n > _EXACT_N_CEILING:
             raise CliError(f"{exc}; exact search stops at n={_EXACT_N_CEILING}") from exc
         raise CliError(f"{exc}; raise --cap (at most {_EXACT_N_CEILING})") from exc
@@ -318,26 +322,17 @@ def _bench_instance(task: tuple) -> tuple[list[dict[str, Any]], list[str]]:
         params = LpqParams(p, q)
         lab, report, failures, ns = _label_point(rep, params)
         errors += [f"seed {seed} ({p},{q}): {line}" for line in failures]
-        lam = exact_lambda(g, params, n_cap=cap) if g.n <= cap else None
-        rows.append(
-            {
-                "class": cfg.kind,
-                "seed": seed,
-                "n": g.n,
-                "p": p,
-                "q": q,
-                "max_degree": report.stats.max_degree,
-                "multiplicity": report.stats.multiplicity,
-                "omega": report.stats.omega,
-                "span": lab.span,
-                "bound": report.formula_value,
-                "holds": report.holds,
-                "lambda_exact": lam,
-                "runtime_us": ns[0] // 1000,
-                "report_us": ns[1] // 1000,
-                "validate_us": ns[2] // 1000,
-            }
+        try:
+            lam = exact_lambda(g, params, n_cap=cap)
+        except CapExceededError:
+            lam = None
+        stats = report.stats
+        values = (
+            cfg.kind, seed, g.n, p, q, stats.max_degree, stats.multiplicity,
+            stats.omega, lab.span, report.formula_value, report.holds, lam,
+            *(t // 1000 for t in ns),
         )
+        rows.append(dict(zip(BENCH_COLUMNS, values)))
     return rows, errors
 
 
@@ -479,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--q", type=canonical_int, default=None, help="override labeling q"
     )
-    p_check.add_argument("--variant", choices=("L1", "L2", "L3"), default="L1")
+    p_check.add_argument("--variant", choices=VARIANTS, default="L1")
     p_check.add_argument("--out", default=None)
     p_check.set_defaults(func=cmd_check)
 

@@ -7,14 +7,14 @@ import random
 from typing import Any
 
 from .reps import (
+    REP_CLASSES,
     REP_KINDS,
     CircularArcRep,
     ContainmentRep,
     IntervalKRep,
-    IntervalOrderRep,
-    IntervalRep,
     RepError,
     Representation,
+    _is_int,
 )
 
 
@@ -73,8 +73,9 @@ def gen_instance(
         raise ValueError(f"endpoint range ({lo}, {hi}) must satisfy lo < hi")
     rng = random.Random(seed)
 
-    if kind == "interval":
-        return IntervalRep(tuple(_draw_interval(rng, lo, hi, density) for _ in range(n)))
+    if kind in ("interval", "interval_order"):
+        iv = tuple(_draw_interval(rng, lo, hi, density) for _ in range(n))
+        return REP_CLASSES[kind](iv)
 
     if kind == "interval_k":
         if k < 2:
@@ -85,11 +86,6 @@ def gen_instance(
             iv.append(_draw_interval(rng, lo, hi, density))
             cls.append(rng.randint(1, k))
         return IntervalKRep(tuple(iv), tuple(cls), k)
-
-    if kind == "interval_order":
-        return IntervalOrderRep(
-            tuple(_draw_interval(rng, lo, hi, density) for _ in range(n))
-        )
 
     if kind == "containment":
         if hi - lo + 1 < 2 * n:
@@ -182,11 +178,6 @@ def _json_object(data: bytes | str, error: type[ValueError]) -> dict:
     return doc
 
 
-def _is_int(val: Any) -> bool:
-    """Whether a decoded JSON value is an integer (an int, not a bool)."""
-    return isinstance(val, int) and not isinstance(val, bool)
-
-
 def _require(entry: dict, key: str, vid: Any) -> Any:
     if key not in entry:
         raise InstanceFormatError(f"vertex {vid}: missing field {key!r}")
@@ -244,10 +235,6 @@ def parse_instance(data: bytes | str) -> Representation:
                 raise InstanceFormatError("'k' must be an integer")
             cls = [_require(e, "class", vid) for vid, e in rows]
             return IntervalKRep(tuple(iv), tuple(cls), kval)
-        if kind == "interval":
-            return IntervalRep(tuple(iv))
-        if kind == "containment":
-            return ContainmentRep(tuple(iv))
-        return IntervalOrderRep(tuple(iv))
+        return REP_CLASSES[kind](tuple(iv))
     except RepError as exc:
         raise InstanceFormatError(f"invalid {kind} instance: {exc}") from exc

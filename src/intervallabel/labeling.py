@@ -34,7 +34,7 @@ from operator import or_, sub
 from typing import Any, Iterable, Sequence
 
 from .graph import Graph
-from .instances import _is_int, _json_object
+from .instances import _json_object
 from .reps import (
     CircularArcRep,
     ContainmentRep,
@@ -42,6 +42,7 @@ from .reps import (
     IntervalOrderRep,
     IntervalRep,
     Representation,
+    _is_int,
     derive_graph,
     rightpoint_order_desc,
     split_circular,
@@ -60,6 +61,10 @@ class LpqParams:
     q: int
 
     def __post_init__(self):
+        if not (_is_int(self.p) and _is_int(self.q)):
+            raise ValueError(
+                f"p and q must be integers, got p={self.p!r}, q={self.q!r}"
+            )
         if self.p < 1 or self.q < 1:
             raise ValueError(f"p and q must be >= 1, got p={self.p}, q={self.q}")
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence, Union, get_args
+from typing import Any, Callable, ClassVar, Sequence, Union, get_args
 
 from .graph import Graph, _memo, iter_bits
 
@@ -31,22 +31,37 @@ class RepError(ValueError):
     """A representation violates its invariants."""
 
 
-def _as_pairs(pairs) -> tuple[tuple[int, int], ...]:
-    return tuple((int(a), int(b)) for a, b in pairs)
+def _is_int(val: Any) -> bool:
+    """Whether ``val`` is an integer: an int, not a bool.  The one test
+    for every value that enters a representation or ``LpqParams``."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _as_pairs(
+    pairs: Sequence[tuple[int, int]], strict: bool | None = None
+) -> tuple[tuple[int, int], ...]:
+    """``pairs`` as a tuple of integer pairs, checked in one pass; unless
+    ``strict`` is None, each is an interval with l <= r (l < r if strict)."""
+    out = []
+    for v, (a, b) in enumerate(pairs):
+        if not (_is_int(a) and _is_int(b)):
+            raise RepError(f"vertex {v}: endpoints ({a!r}, {b!r}) must be integers")
+        if strict is not None and a > b - strict:
+            raise RepError(f"vertex {v}: l={a} {'>=' if strict else '>'} r={b}")
+        out.append((a, b))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
-class IntervalRep:
-    """Closed intervals [l, r] on the integer line."""
+class _LineRep:
+    """The intervals and endpoint check of the four line families, none of
+    which subclasses another: ``isinstance`` tells them apart."""
 
     intervals: tuple[tuple[int, int], ...]
-    kind: ClassVar[str] = "interval"
+    _strict: ClassVar[bool] = False
 
     def __post_init__(self):
-        object.__setattr__(self, "intervals", _as_pairs(self.intervals))
-        for v, (l, r) in enumerate(self.intervals):
-            if l > r:
-                raise RepError(f"vertex {v}: l={l} > r={r}")
+        object.__setattr__(self, "intervals", _as_pairs(self.intervals, self._strict))
 
     @property
     def n(self) -> int:
@@ -54,33 +69,36 @@ class IntervalRep:
 
 
 @dataclass(frozen=True)
-class IntervalKRep:
+class IntervalRep(_LineRep):
+    """Closed intervals [l, r] on the integer line."""
+
+    kind: ClassVar[str] = "interval"
+
+
+@dataclass(frozen=True)
+class IntervalKRep(_LineRep):
     """Intervals plus a class assignment kappa(v) in 1..k, k >= 2."""
 
-    intervals: tuple[tuple[int, int], ...]
     classes: tuple[int, ...]
     k: int
     kind: ClassVar[str] = "interval_k"
 
     def __post_init__(self):
-        object.__setattr__(self, "intervals", _as_pairs(self.intervals))
-        object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
+        if not _is_int(self.k):
+            raise RepError(f"k must be an integer, got {self.k!r}")
         if self.k < 2:
             raise RepError(f"k must be >= 2, got {self.k}")
         if len(self.classes) != len(self.intervals):
             raise RepError(
                 f"{len(self.intervals)} intervals but {len(self.classes)} classes"
             )
-        for v, (l, r) in enumerate(self.intervals):
-            if l > r:
-                raise RepError(f"vertex {v}: l={l} > r={r}")
+        super().__post_init__()
+        object.__setattr__(self, "classes", tuple(self.classes))
         for v, c in enumerate(self.classes):
+            if not _is_int(c):
+                raise RepError(f"vertex {v}: class {c!r} must be an integer")
             if not 1 <= c <= self.k:
                 raise RepError(f"vertex {v}: class {c} outside 1..{self.k}")
-
-    @property
-    def n(self) -> int:
-        return len(self.intervals)
 
 
 @dataclass(frozen=True)
@@ -93,13 +111,14 @@ class CircularArcRep:
 
     def __post_init__(self):
         object.__setattr__(self, "arcs", _as_pairs(self.arcs))
-        if self.circumference < 2:
-            raise RepError(f"circumference must be >= 2, got {self.circumference}")
+        circ = self.circumference
+        if not _is_int(circ):
+            raise RepError(f"circumference must be an integer, got {circ!r}")
+        if circ < 2:
+            raise RepError(f"circumference must be >= 2, got {circ}")
         for v, (s, e) in enumerate(self.arcs):
-            if not (0 <= s < self.circumference and 0 <= e < self.circumference):
-                raise RepError(
-                    f"vertex {v}: arc ({s}, {e}) outside 0..{self.circumference - 1}"
-                )
+            if not (0 <= s < circ and 0 <= e < circ):
+                raise RepError(f"vertex {v}: arc ({s}, {e}) outside 0..{circ - 1}")
             if s == e:
                 raise RepError(f"vertex {v}: degenerate arc with s == e == {s}")
 
@@ -109,7 +128,7 @@ class CircularArcRep:
 
 
 @dataclass(frozen=True)
-class ContainmentRep:
+class ContainmentRep(_LineRep):
     """Intervals with pairwise distinct endpoints; adjacency = strict nesting.
 
     This is the containment model of a permutation graph: with all 2n
@@ -117,15 +136,13 @@ class ContainmentRep:
     lies strictly inside the other.
     """
 
-    intervals: tuple[tuple[int, int], ...]
     kind: ClassVar[str] = "containment"
+    _strict: ClassVar[bool] = True
 
     def __post_init__(self):
-        object.__setattr__(self, "intervals", _as_pairs(self.intervals))
+        super().__post_init__()
         seen: dict[int, int] = {}
         for v, (l, r) in enumerate(self.intervals):
-            if l >= r:
-                raise RepError(f"vertex {v}: l={l} >= r={r}")
             for x in (l, r):
                 if x in seen:
                     raise RepError(
@@ -133,13 +150,9 @@ class ContainmentRep:
                     )
                 seen[x] = v
 
-    @property
-    def n(self) -> int:
-        return len(self.intervals)
-
 
 @dataclass(frozen=True)
-class IntervalOrderRep:
+class IntervalOrderRep(_LineRep):
     """Intervals inducing an interval order: u < v iff r(u) < l(v).
 
     The derived graph is the comparability graph of that order, i.e.
@@ -148,25 +161,17 @@ class IntervalOrderRep:
     graphs.
     """
 
-    intervals: tuple[tuple[int, int], ...]
     kind: ClassVar[str] = "interval_order"
-
-    def __post_init__(self):
-        object.__setattr__(self, "intervals", _as_pairs(self.intervals))
-        for v, (l, r) in enumerate(self.intervals):
-            if l > r:
-                raise RepError(f"vertex {v}: l={l} > r={r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.intervals)
 
 
 Representation = Union[
     IntervalRep, IntervalKRep, CircularArcRep, ContainmentRep, IntervalOrderRep
 ]
 
-REP_KINDS = ("interval", "interval_k", "circular_arc", "containment", "interval_order")
+# kind -> class, in the order of the union
+REP_CLASSES: dict[str, type] = {cls.kind: cls for cls in get_args(Representation)}
+REP_KINDS = tuple(REP_CLASSES)
+
 
 def _below(keys: Sequence[int]) -> tuple[list[int], list[int]]:
     """Sorted ``keys`` and prefix masks: ``masks[i]`` holds the vertices

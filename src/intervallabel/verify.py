@@ -17,7 +17,7 @@ decides which reports are report-only, so no labeler holds its yardstick.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Sequence
 
 from .graph import (
@@ -62,13 +62,7 @@ class Violation:
     observed: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "u": self.u,
-            "v": self.v,
-            "required": self.required,
-            "observed": self.observed,
-        }
+        return asdict(self)
 
 
 def validate(
@@ -141,21 +135,40 @@ class _BudgetExceeded(Exception):
     """Internal: branching search exceeded its node budget."""
 
 
+def _windows(vals: list[int], sep: int) -> list[int]:
+    """For each index i of the sorted ``vals``, the mask of the indices k
+    with |vals[k] - vals[i]| < sep: the labels that label vals[i] bars."""
+    out, lo, hi = [], 0, 0
+    for x in vals:
+        while vals[lo] <= x - sep:
+            lo += 1
+        while hi < len(vals) and vals[hi] < x + sep:
+            hi += 1
+        out.append((1 << hi) - (1 << lo))
+    return out
+
+
 def _feasible(
     g: Graph,
-    p: int,
-    q: int,
-    span: int,
+    vals: list[int],
+    windows: tuple[list[int], list[int]],
+    top: int,
     budget: int,
     hall_cuts: tuple[tuple[int, int], ...] = (),
 ) -> bool:
-    """Is there a valid L1 labeling of g with labels inside [0, span]?
+    """Is there a valid L1 labeling of g with labels in vals[0..top]?
+
+    ``vals`` are the sorted sums of at most n - 1 terms p or q, and
+    ``windows`` their ``_windows`` for p and q.  Lowering labels as
+    ``_lambda_dp`` does puts any labeling inside [0, vals[top]] on those
+    sums, so a domain is a bitmask over their indices, at most
+    n(n+1)/2 of them whatever p and q are.
 
     Backtracking with bitmask label domains, forward checking, and
     most-constrained-vertex-first selection.  One designated vertex is
     restricted to the lower half of the label range up front: reflecting
-    every label through span/2 preserves validity, so any solution has a
-    mirror image satisfying the restriction.
+    every label through vals[top]/2 preserves validity, so any solution
+    has a mirror image satisfying the restriction, and lowering keeps it.
 
     Each ``hall_cuts`` entry is (clique bitmask, separation): the named
     vertices need pairwise label distance >= separation, so when their
@@ -167,16 +180,11 @@ def _feasible(
     n = g.n
     adj = g.adj_mask
     d2 = g.dist2_masks()
+    pwin, qwin = windows
 
-    full = (1 << (span + 1)) - 1
-    # Label j bars the labels within p - 1 (q - 1) of it: the window of
-    # 2p - 1 (2q - 1) bits centred on j, clipped at 0 by the right shift.
-    pwin = (1 << (2 * p - 1)) - 1
-    qwin = (1 << (2 * q - 1)) - 1
-
-    domains = [full] * n
+    domains = [(1 << (top + 1)) - 1] * n
     anchor = max(range(n), key=lambda v: ((adj[v] | d2[v]).bit_count(), -v))
-    domains[anchor] = (1 << (span // 2 + 1)) - 1
+    domains[anchor] = (1 << bisect_right(vals, vals[top] // 2)) - 1
     nodes = 0
 
     def bt(unassigned: int, doms: list[int]) -> bool:
@@ -197,11 +205,11 @@ def _feasible(
                 while union and seats < need:
                     j = (union & -union).bit_length() - 1
                     seats += 1
-                    union &= ~((1 << (j + sep)) - 1)
+                    union &= ~((1 << bisect_left(vals, vals[j] + sep)) - 1)
                 if seats < need:
                     return False
         v = -1
-        v_size = span + 2
+        v_size = top + 2
         for u in iter_bits(unassigned):
             size = doms[u].bit_count()
             if size < v_size:
@@ -218,14 +226,14 @@ def _feasible(
             nd = list(doms)
             ok = True
             if near:
-                keep = ~(pwin << j >> (p - 1))
+                keep = ~pwin[j]
                 for u in iter_bits(near):
                     nd[u] &= keep
                     if nd[u] == 0:
                         ok = False
                         break
             if ok and far:
-                keep = ~(qwin << j >> (q - 1))
+                keep = ~qwin[j]
                 for u in iter_bits(far):
                     nd[u] &= keep
                     if nd[u] == 0:
@@ -241,11 +249,14 @@ def _feasible(
 def _lambda_dp(g: Graph, p: int, q: int) -> int:
     """Exact minimum span by a label-sweep dynamic program.
 
-    Vertices are placed in non-decreasing label order; an optimal
-    labeling never needs a gap above m = max(p, q) between consecutive
-    placed labels (larger gaps compress without breaking separations).
-    A state is (placed set, masks of vertices at offsets 0..m-1 below
-    the current top label); vertices further down constrain nothing.
+    Vertices are placed in non-decreasing label order, each at the lowest
+    label not below the top that clears every placed label: lowering the
+    labels of any valid labeling that way, in sorted order, keeps it
+    valid and never raises its span.  So the gap to the top is the
+    largest sep - d over the placed vertices at offset d below it that
+    the new one must clear.  A state is (placed set, profile), the
+    (offset, mask) pairs of the vertices less than m = max(p, q) below
+    the top, lowest first; vertices further down constrain nothing.
     Dijkstra over states by span; fast when the square of g is dense,
     which is exactly where the branching search struggles.
     """
@@ -257,45 +268,32 @@ def _lambda_dp(g: Graph, p: int, q: int) -> int:
     m = max(p, q)
     adj = g.adj_mask
     d2 = g.dist2_masks()
-    viol = [
-        [(adj[v] if p > t else 0) | (d2[v] if q > t else 0) for t in range(m + 1)]
-        for v in range(n)
-    ]
     full = (1 << n) - 1
-    heap: list[tuple[int, int, tuple[int, ...]]] = []
-    best: dict[tuple[int, tuple[int, ...]], int] = {}
-    for v in range(n):
-        prof = [0] * m
-        prof[0] = 1 << v
-        key = (1 << v, tuple(prof))
-        best[key] = 0
-        heapq.heappush(heap, (0, 1 << v, tuple(prof)))
+    heap = [(0, 1 << v, ((0, 1 << v),)) for v in range(n)]
+    best = {(placed, prof): 0 for _, placed, prof in heap}
     while heap:
         cost, placed, prof = heapq.heappop(heap)
-        if best.get((placed, prof), -1) != cost:
+        if best[placed, prof] != cost:
             continue
         if placed == full:
             return cost
         for v in iter_bits(full & ~placed):
-            vv = viol[v]
-            for gap in range(m + 1):
-                ok = True
-                for d in range(m):
-                    if prof[d] and prof[d] & vv[min(gap + d, m)]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                nd = [0] * m
-                nd[0] = 1 << v
-                for d in range(m):
-                    if d + gap < m:
-                        nd[d + gap] |= prof[d]
-                key = (placed | (1 << v), tuple(nd))
-                nc = cost + gap
-                if best.get(key, -1) == -1 or best[key] > nc:
-                    best[key] = nc
-                    heapq.heappush(heap, (nc, placed | (1 << v), tuple(nd)))
+            gap = 0
+            for d, mask in prof:
+                if mask & adj[v]:
+                    gap = max(gap, p - d)
+                if mask & d2[v]:
+                    gap = max(gap, q - d)
+            if gap == 0:
+                # offset 0 is always occupied: it holds the top label
+                top = ((0, prof[0][1] | 1 << v),) + prof[1:]
+            else:
+                kept = tuple((d + gap, u) for d, u in prof if d + gap < m)
+                top = ((0, 1 << v),) + kept
+            key = (placed | 1 << v, top)
+            if best.get(key, cost + gap + 1) > cost + gap:
+                best[key] = cost + gap
+                heapq.heappush(heap, (cost + gap, *key))
     raise AssertionError("label-sweep search exhausted without placing all vertices")
 
 
@@ -345,6 +343,9 @@ def _lambda_path_dp(g: Graph, p: int, q: int) -> int:
 _FEASIBILITY_BUDGET = 120_000
 # Largest n the exact search takes, whatever n_cap: its DPs tabulate vertex subsets.
 _EXACT_N_CEILING = 14
+# Largest max(p, q) the exact search takes, so hostile input fails fast;
+# below it the search's work does not grow with p or q.
+_EXACT_SEP_CEILING = 10**6
 
 
 def exact_lambda(g: Graph, params: LpqParams, n_cap: int = 12) -> int:
@@ -363,9 +364,15 @@ def exact_lambda(g: Graph, params: LpqParams, n_cap: int = 12) -> int:
     c*max(p,q), a valid labeling of span (k-1)*max(p,q).  The same three
     cliques feed pigeonhole cuts into the probes.  When a probe blows
     its node budget the question is re-solved whole by the label-sweep
-    dynamic program.  Raises CapExceededError when n > n_cap or n > 14,
-    a fixed ceiling.
+    dynamic program.  Raises CapExceededError, before any work, when
+    max(p,q) > _EXACT_SEP_CEILING or when n > n_cap or n > 14, a fixed
+    ceiling.
     """
+    if params.max_sep > _EXACT_SEP_CEILING:
+        raise CapExceededError(
+            f"separation too large for exact search: "
+            f"max(p,q)={params.max_sep} > ceiling={_EXACT_SEP_CEILING}"
+        )
     limit = min(n_cap, _EXACT_N_CEILING)
     if g.n > limit:
         name = "cap" if limit == n_cap else "ceiling"
@@ -388,16 +395,25 @@ def exact_lambda(g: Graph, params: LpqParams, n_cap: int = 12) -> int:
     hi = (_greedy_coloring_count(sq, by_sqdeg) - 1) * max(p, q)
     # dict.fromkeys drops a repeated (mask, sep) and keeps the order
     hall_cuts = tuple(dict.fromkeys(c for c in cliques if c[0].bit_count() >= 2))
+    if lo == hi:
+        return lo
+    # Both bounds and some optimum are sums of at most n - 1 terms p or q
+    # (see _feasible): bisect over the indices of those sums.
+    vals = sorted({a * p + b * q for a in range(g.n) for b in range(g.n - a)})
+    windows = (_windows(vals, p), _windows(vals, q))
+    lo, hi = bisect_left(vals, lo), bisect_left(vals, hi)
     try:
         while lo < hi:
             mid = (lo + hi) // 2
-            if _feasible(g, p, q, mid, budget=_FEASIBILITY_BUDGET, hall_cuts=hall_cuts):
+            if _feasible(
+                g, vals, windows, mid, budget=_FEASIBILITY_BUDGET, hall_cuts=hall_cuts
+            ):
                 hi = mid
             else:
                 lo = mid + 1
     except _BudgetExceeded:
         return _lambda_dp(g, p, q)
-    return lo
+    return vals[lo]
 
 
 def _greedy_coloring_count(g: Graph, order: Sequence[int]) -> int:
@@ -524,16 +540,7 @@ class BoundReport:
             "span": self.achieved_span,
             "holds": self.holds,
             "report_only": self.report_only,
-            "stats": {
-                "n": self.stats.n,
-                "m": self.stats.m,
-                "max_degree": self.stats.max_degree,
-                "min_degree": self.stats.min_degree,
-                "multiplicity": self.stats.multiplicity,
-                "multiplicity_nonadjacent": self.stats.multiplicity_nonadjacent,
-                "is_connected": self.stats.is_connected,
-                "omega": self.stats.omega,
-            },
+            "stats": asdict(self.stats),
         }
         if self.construction_value is not None:
             doc["construction_bound"] = self.construction_value

@@ -16,7 +16,7 @@ from intervallabel import (
     parse_labeling,
     serialize_instance,
 )
-from intervallabel import cli
+from intervallabel import cli, verify
 from intervallabel.cli import ENV_SEED, main
 from intervallabel.reps import REP_KINDS
 
@@ -574,6 +574,22 @@ def test_oracle_beyond_ceiling_suggests_no_cap(tmp_path, capsys):
     assert "raise --cap (at most 14)" in capsys.readouterr().err
 
 
+def test_oracle_beyond_separation_ceiling_suggests_no_cap(tmp_path, capsys):
+    """A separation above the ceiling is refused before any search: the
+    parent built a label mask 2 * 10**10 bits wide and died of MemoryError."""
+    from intervallabel import IntervalRep
+
+    rep = IntervalRep(((0, 4), (2, 6), (5, 9), (1, 3), (8, 12)))
+    inst = _write_instance(tmp_path, rep)
+    t0 = time.perf_counter()
+    rc = main(["oracle", "--in", inst, "--p", "10000000000", "--q", "1"])
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"max(p,q)=10000000000 > ceiling={verify._EXACT_SEP_CEILING}" in err
+    assert "--cap" not in err
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -703,6 +719,17 @@ def test_bench_skips_oracle_beyond_cap(capsys):
     )
     assert rc == 0
     assert all(row["lambda_exact"] == "" for row in rows)
+
+
+def test_bench_leaves_lambda_blank_beyond_separation_ceiling(capsys):
+    p = verify._EXACT_SEP_CEILING + 1
+    rc, rows = _bench_rows(
+        ["bench", "--class", "interval", "--n", "5", "--seed", "0",
+         "--count", "2", "--pq", f"{p},1", "--pq", "2,1"],
+        capsys,
+    )
+    assert rc == 0
+    assert [row["lambda_exact"] == "" for row in rows] == [True, False] * 2
 
 
 def test_bench_arc_exact_omega_beyond_64(capsys):

@@ -27,6 +27,7 @@ from intervallabel import (
     gen_instance,
     is_2k2_free,
     label_instance,
+    label_interval,
     minimal_elements,
     parse_instance,
     rightpoint_order_desc,
@@ -34,7 +35,7 @@ from intervallabel import (
     validate,
 )
 from intervallabel import graph, reps
-from intervallabel.reps import REP_KINDS
+from intervallabel.reps import REP_CLASSES, REP_KINDS
 
 # ---------------------------------------------------------------------------
 # invariants
@@ -43,6 +44,10 @@ from intervallabel.reps import REP_KINDS
 def test_interval_rejects_reversed():
     with pytest.raises(RepError, match="vertex 1"):
         IntervalRep(((0, 2), (5, 3)))
+    with pytest.raises(RepError, match="vertex 1: l=5 > r=3"):
+        IntervalOrderRep(((0, 2), (5, 3)))
+    with pytest.raises(RepError, match="vertex 1: l=5 > r=3"):
+        IntervalKRep(((0, 2), (5, 3)), (1, 2), 2)
 
 
 def test_interval_k_validation():
@@ -52,6 +57,12 @@ def test_interval_k_validation():
         IntervalKRep(((0, 1),), (4,), 3)
     with pytest.raises(RepError, match="1 intervals but 2 classes"):
         IntervalKRep(((0, 1),), (1, 2), 3)
+    with pytest.raises(RepError, match="vertex 0: class 1.9 must be an integer"):
+        IntervalKRep(((0, 1), (2, 3)), (1.9, 2.2), 3)
+    with pytest.raises(RepError, match="vertex 1: class True must be an integer"):
+        IntervalKRep(((0, 1), (2, 3)), (1, True), 3)
+    with pytest.raises(RepError, match="k must be an integer, got 3.0"):
+        IntervalKRep(((0, 1),), (1,), 3.0)
 
 
 def test_circular_arc_validation():
@@ -61,6 +72,38 @@ def test_circular_arc_validation():
         CircularArcRep(((0, 10),), 10)
     with pytest.raises(RepError, match="circumference"):
         CircularArcRep(((0, 1),), 1)
+    with pytest.raises(RepError, match="circumference must be an integer, got 10.5"):
+        CircularArcRep(((0, 5),), 10.5)
+
+
+def _one_vertex(kind, pair):
+    if kind == "interval_k":
+        return IntervalKRep((pair,), (1,), 2)
+    if kind == "circular_arc":
+        return CircularArcRep((pair,), 10)
+    return REP_CLASSES[kind]((pair,))
+
+
+@pytest.mark.parametrize("kind", REP_KINDS)
+@pytest.mark.parametrize("bad", [True, 1.0, 0.9, "1"])
+def test_non_integer_endpoint_rejected(kind, bad):
+    """No constructor coerces an endpoint: int() would read each of these
+    as a valid integer."""
+    assert _one_vertex(kind, (1, 5)).n == 1
+    for pair in ((bad, 5), (1, bad)):
+        with pytest.raises(RepError, match="vertex 0: endpoints .* must be integers"):
+            _one_vertex(kind, pair)
+
+
+def test_no_representation_class_subclasses_another():
+    """The labelers and orderings dispatch on isinstance, so no family may
+    pass for another; the table of families follows the union's order."""
+    assert REP_KINDS == ("interval", "interval_k", "circular_arc", "containment", "interval_order")
+    classes = list(REP_CLASSES.values())
+    for a in classes:
+        assert [b for b in classes if b is not a and issubclass(a, b)] == []
+    with pytest.raises(TypeError, match="expected IntervalRep, got IntervalOrderRep"):
+        label_interval(IntervalOrderRep(((0, 1), (2, 3))), LpqParams(2, 1))
 
 
 def test_containment_rejects_shared_endpoint():

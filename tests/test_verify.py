@@ -330,6 +330,33 @@ def test_exact_lambda_ceiling():
     assert exact_lambda(path, P21, n_cap=30) == 4
 
 
+def test_exact_lambda_separation_ceiling(monkeypatch):
+    """Above the separation ceiling the search stops before any work; at
+    it, neither the bisection nor the label-sweep program grows with p:
+    the parent's sweep at (64, 1) on an 11-vertex instance ran for
+    minutes, and its label masks grew with the span."""
+    g = derive_graph(IntervalRep(((0, 4), (2, 6), (5, 9), (1, 3), (8, 12))))
+    top = verify._EXACT_SEP_CEILING
+    tracemalloc.start()
+    try:
+        assert exact_lambda(g, LpqParams(top, 1)) == 2 * top
+        assert exact_lambda(g, LpqParams(1, top)) == top + 1
+        assert _lambda_dp(g, top, 1) == 2 * top
+        assert _lambda_dp(g, 1, top) == top + 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("exact search started")
+
+    monkeypatch.setattr(verify, "square", no_work)
+    for params in (LpqParams(top + 1, 1), LpqParams(1, top + 1)):
+        with pytest.raises(CapExceededError, match=rf"max\(p,q\)={top + 1} > ceiling={top}"):
+            exact_lambda(g, params, n_cap=30)
+
+
 def test_exact_lambda_against_brute_force():
     rng = random.Random(97)
     for _ in range(100):
