@@ -34,7 +34,8 @@ class RepError(ValueError):
 def _is_int(val: Any) -> bool:
     """Whether ``val`` is an integer: an int, not a bool.  The one test
     for every value that enters a representation or ``LpqParams``."""
-    return isinstance(val, int) and not isinstance(val, bool)
+    # bool has no subclasses, so its two instances are all of it
+    return isinstance(val, int) and val is not True and val is not False
 
 
 def _as_pairs(

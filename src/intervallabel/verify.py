@@ -135,34 +135,23 @@ class _BudgetExceeded(Exception):
     """Internal: branching search exceeded its node budget."""
 
 
-def _windows(vals: list[int], sep: int) -> list[int]:
-    """For each index i of the sorted ``vals``, the mask of the indices k
-    with |vals[k] - vals[i]| < sep: the labels that label vals[i] bars."""
-    out, lo, hi = [], 0, 0
-    for x in vals:
-        while vals[lo] <= x - sep:
-            lo += 1
-        while hi < len(vals) and vals[hi] < x + sep:
-            hi += 1
-        out.append((1 << hi) - (1 << lo))
-    return out
-
-
 def _feasible(
     g: Graph,
+    p: int,
+    q: int,
     vals: list[int],
-    windows: tuple[list[int], list[int]],
+    windows: dict[int, list[int]],
     top: int,
     budget: int,
     hall_cuts: tuple[tuple[int, int], ...] = (),
 ) -> bool:
     """Is there a valid L1 labeling of g with labels in vals[0..top]?
 
-    ``vals`` are the sorted sums of at most n - 1 terms p or q, and
-    ``windows`` their ``_windows`` for p and q.  Lowering labels as
-    ``_lambda_dp`` does puts any labeling inside [0, vals[top]] on those
-    sums, so a domain is a bitmask over their indices, at most
-    n(n+1)/2 of them whatever p and q are.
+    ``vals`` are the sorted sums of at most n - 1 terms p or q.  Lowering
+    labels as ``_lambda_dp`` does puts any labeling inside [0, vals[top]]
+    on those sums, so a domain is a bitmask over their indices, at most
+    n(n+1)/2 of them whatever p and q are.  ``windows[sep][i]`` is the
+    mask of the indices within sep - 1 of vals[i], for sep p and q.
 
     Backtracking with bitmask label domains, forward checking, and
     most-constrained-vertex-first selection.  One designated vertex is
@@ -180,7 +169,7 @@ def _feasible(
     n = g.n
     adj = g.adj_mask
     d2 = g.dist2_masks()
-    pwin, qwin = windows
+    pwin, qwin = windows[p], windows[q]
 
     domains = [(1 << (top + 1)) - 1] * n
     anchor = max(range(n), key=lambda v: ((adj[v] | d2[v]).bit_count(), -v))
@@ -205,7 +194,8 @@ def _feasible(
                 while union and seats < need:
                     j = (union & -union).bit_length() - 1
                     seats += 1
-                    union &= ~((1 << bisect_left(vals, vals[j] + sep)) - 1)
+                    # the next seat lies past the window of label j
+                    union &= ~((1 << windows[sep][j].bit_length()) - 1)
                 if seats < need:
                     return False
         v = -1
@@ -250,15 +240,13 @@ def _lambda_dp(g: Graph, p: int, q: int) -> int:
     """Exact minimum span by a label-sweep dynamic program.
 
     Vertices are placed in non-decreasing label order, each at the lowest
-    label not below the top that clears every placed label: lowering the
-    labels of any valid labeling that way, in sorted order, keeps it
-    valid and never raises its span.  So the gap to the top is the
-    largest sep - d over the placed vertices at offset d below it that
-    the new one must clear.  A state is (placed set, profile), the
-    (offset, mask) pairs of the vertices less than m = max(p, q) below
-    the top, lowest first; vertices further down constrain nothing.
-    Dijkstra over states by span; fast when the square of g is dense,
-    which is exactly where the branching search struggles.
+    label not below the top that clears every placed label: lowering any
+    valid labeling that way, in sorted order, keeps it valid and never
+    raises its span.  A state is (placed set, profile), the (offset, mask)
+    pairs of the vertices less than m = max(p, q) below the top; vertices
+    further down constrain nothing.  Dijkstra over states by span; fast
+    when the square of g is dense, which is exactly where the branching
+    search struggles.
     """
     import heapq
 
@@ -398,16 +386,21 @@ def exact_lambda(g: Graph, params: LpqParams, n_cap: int = 12) -> int:
     if lo == hi:
         return lo
     # Both bounds and some optimum are sums of at most n - 1 terms p or q
-    # (see _feasible): bisect over the indices of those sums.
-    vals = sorted({a * p + b * q for a in range(g.n) for b in range(g.n - a)})
-    windows = (_windows(vals, p), _windows(vals, q))
-    lo, hi = bisect_left(vals, lo), bisect_left(vals, hi)
+    # (see _feasible): bisect over the indices of those sums up to hi.
+    sums = {a * p + b * q for a in range(g.n) for b in range(g.n - a)}
+    vals = sorted(x for x in sums if x <= hi)
+    windows = {
+        sep: [
+            (1 << bisect_left(vals, x + sep)) - (1 << bisect_right(vals, x - sep))
+            for x in vals
+        ]
+        for sep in {p, q}
+    }
+    lo, hi = bisect_left(vals, lo), len(vals) - 1
     try:
         while lo < hi:
             mid = (lo + hi) // 2
-            if _feasible(
-                g, vals, windows, mid, budget=_FEASIBILITY_BUDGET, hall_cuts=hall_cuts
-            ):
+            if _feasible(g, p, q, vals, windows, mid, _FEASIBILITY_BUDGET, hall_cuts):
                 hi = mid
             else:
                 lo = mid + 1
