@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from typing import Any, Sequence
 
 from .graph import (
@@ -135,23 +136,37 @@ class _BudgetExceeded(Exception):
     """Internal: branching search exceeded its node budget."""
 
 
+@lru_cache(maxsize=256)
+def _label_sums(n: int, p: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """The sorted sums of at most n - 1 terms p or q, and for p and for q
+    the mask of the sum indices each sum bars, those within sep - 1 of
+    it.  Cached: every graph on n vertices shares them at (p, q)."""
+    vals = tuple(sorted({a * p + b * q for a in range(n) for b in range(n - a)}))
+    pwin, qwin = (
+        tuple(
+            (1 << bisect_left(vals, x + sep)) - (1 << bisect_right(vals, x - sep))
+            for x in vals
+        )
+        for sep in (p, q)
+    )
+    return vals, pwin, qwin
+
+
 def _feasible(
     g: Graph,
-    p: int,
-    q: int,
-    vals: list[int],
-    windows: dict[int, list[int]],
+    vals: Sequence[int],
+    pwin: Sequence[int],
+    qwin: Sequence[int],
     top: int,
     budget: int,
-    hall_cuts: tuple[tuple[int, int], ...] = (),
+    hall_cuts: tuple[tuple[int, Sequence[int]], ...] = (),
 ) -> bool:
     """Is there a valid L1 labeling of g with labels in vals[0..top]?
 
-    ``vals`` are the sorted sums of at most n - 1 terms p or q.  Lowering
+    ``vals``, ``pwin`` and ``qwin`` come from ``_label_sums``.  Lowering
     labels as ``_lambda_dp`` does puts any labeling inside [0, vals[top]]
     on those sums, so a domain is a bitmask over their indices, at most
-    n(n+1)/2 of them whatever p and q are.  ``windows[sep][i]`` is the
-    mask of the indices within sep - 1 of vals[i], for sep p and q.
+    n(n+1)/2 of them whatever p and q are.
 
     Backtracking with bitmask label domains, forward checking, and
     most-constrained-vertex-first selection.  One designated vertex is
@@ -159,8 +174,9 @@ def _feasible(
     every label through vals[top]/2 preserves validity, so any solution
     has a mirror image satisfying the restriction, and lowering keeps it.
 
-    Each ``hall_cuts`` entry is (clique bitmask, separation): the named
-    vertices need pairwise label distance >= separation, so when their
+    Each ``hall_cuts`` entry is (clique bitmask, the windows of its
+    separation): the named vertices need pairwise label distance >=
+    separation, so when their
     joint domain cannot seat the remaining members the branch dies (a
     pigeonhole argument forward checking cannot make).  Raises
     _BudgetExceeded after ``budget`` search nodes; dense instances are
@@ -169,7 +185,6 @@ def _feasible(
     n = g.n
     adj = g.adj_mask
     d2 = g.dist2_masks()
-    pwin, qwin = windows[p], windows[q]
 
     domains = [(1 << (top + 1)) - 1] * n
     anchor = max(range(n), key=lambda v: ((adj[v] | d2[v]).bit_count(), -v))
@@ -183,7 +198,7 @@ def _feasible(
             raise _BudgetExceeded
         if unassigned == 0:
             return True
-        for cmask, sep in hall_cuts:
+        for cmask, win in hall_cuts:
             rest_c = unassigned & cmask
             if rest_c & (rest_c - 1):
                 union = 0
@@ -195,7 +210,7 @@ def _feasible(
                     j = (union & -union).bit_length() - 1
                     seats += 1
                     # the next seat lies past the window of label j
-                    union &= ~((1 << windows[sep][j].bit_length()) - 1)
+                    union &= ~((1 << win[j].bit_length()) - 1)
                 if seats < need:
                     return False
         v = -1
@@ -381,26 +396,21 @@ def exact_lambda(g: Graph, params: LpqParams, n_cap: int = 12) -> int:
     )
     lo = max((mask.bit_count() - 1) * sep for mask, sep in cliques)
     hi = (_greedy_coloring_count(sq, by_sqdeg) - 1) * max(p, q)
-    # dict.fromkeys drops a repeated (mask, sep) and keeps the order
-    hall_cuts = tuple(dict.fromkeys(c for c in cliques if c[0].bit_count() >= 2))
     if lo == hi:
         return lo
     # Both bounds and some optimum are sums of at most n - 1 terms p or q
-    # (see _feasible): bisect over the indices of those sums up to hi.
-    sums = {a * p + b * q for a in range(g.n) for b in range(g.n - a)}
-    vals = sorted(x for x in sums if x <= hi)
-    windows = {
-        sep: [
-            (1 << bisect_left(vals, x + sep)) - (1 << bisect_right(vals, x - sep))
-            for x in vals
-        ]
-        for sep in {p, q}
-    }
-    lo, hi = bisect_left(vals, lo), len(vals) - 1
+    # (see _feasible): bisect over the indices of those sums.
+    vals, pwin, qwin = _label_sums(g.n, p, q)
+    # dict.fromkeys drops a repeated (mask, sep) and keeps the order
+    hall_cuts = tuple(
+        (mask, pwin if sep == p else qwin)
+        for mask, sep in dict.fromkeys(c for c in cliques if c[0].bit_count() >= 2)
+    )
+    lo, hi = bisect_left(vals, lo), bisect_left(vals, hi)
     try:
         while lo < hi:
             mid = (lo + hi) // 2
-            if _feasible(g, p, q, vals, windows, mid, _FEASIBILITY_BUDGET, hall_cuts):
+            if _feasible(g, vals, pwin, qwin, mid, _FEASIBILITY_BUDGET, hall_cuts):
                 hi = mid
             else:
                 lo = mid + 1
