@@ -62,9 +62,7 @@ class LpqParams:
 
     def __post_init__(self):
         if not (_is_int(self.p) and _is_int(self.q)):
-            raise ValueError(
-                f"p and q must be integers, got p={self.p!r}, q={self.q!r}"
-            )
+            raise ValueError(f"p and q must be integers: p={self.p!r}, q={self.q!r}")
         if self.p < 1 or self.q < 1:
             raise ValueError(f"p and q must be >= 1, got p={self.p}, q={self.q}")
 

@@ -176,9 +176,9 @@ def _feasible(
 
     Each ``hall_cuts`` entry is (clique bitmask, the windows of its
     separation): the named vertices need pairwise label distance >=
-    separation, so when their
-    joint domain cannot seat the remaining members the branch dies (a
-    pigeonhole argument forward checking cannot make).  Raises
+    separation, so when their joint domain cannot seat the remaining
+    members the branch dies (a pigeonhole argument forward checking
+    cannot make).  Raises
     _BudgetExceeded after ``budget`` search nodes; dense instances are
     handed to the label-sweep dynamic program instead.
     """
@@ -396,8 +396,6 @@ def exact_lambda(g: Graph, params: LpqParams, n_cap: int = 12) -> int:
     )
     lo = max((mask.bit_count() - 1) * sep for mask, sep in cliques)
     hi = (_greedy_coloring_count(sq, by_sqdeg) - 1) * max(p, q)
-    if lo == hi:
-        return lo
     # Both bounds and some optimum are sums of at most n - 1 terms p or q
     # (see _feasible): bisect over the indices of those sums.
     vals, pwin, qwin = _label_sums(g.n, p, q)

@@ -56,9 +56,9 @@ def test_params_validation():
         LpqParams(0, 1)
     with pytest.raises(ValueError):
         LpqParams(2, -1)
-    with pytest.raises(ValueError, match="p and q must be integers, got p=2.5, q=1"):
+    with pytest.raises(ValueError, match="p and q must be integers: p=2.5, q=1"):
         LpqParams(2.5, 1)
-    with pytest.raises(ValueError, match="p and q must be integers, got p=True, q=1"):
+    with pytest.raises(ValueError, match="p and q must be integers: p=True, q=1"):
         LpqParams(True, 1)
     assert LpqParams(1, 3).max_sep == 3
 
