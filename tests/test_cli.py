@@ -575,8 +575,8 @@ def test_oracle_beyond_ceiling_suggests_no_cap(tmp_path, capsys):
 
 
 def test_oracle_beyond_separation_ceiling_suggests_no_cap(tmp_path, capsys):
-    """A separation above the ceiling is refused before any search: the
-    parent built a label mask 2 * 10**10 bits wide and died of MemoryError."""
+    """A separation above the ceiling is refused before any search, which
+    would otherwise face labels around 2 * 10**10."""
     from intervallabel import IntervalRep
 
     rep = IntervalRep(((0, 4), (2, 6), (5, 9), (1, 3), (8, 12)))

@@ -332,9 +332,9 @@ def test_exact_lambda_ceiling():
 
 def test_exact_lambda_separation_ceiling(monkeypatch):
     """Above the separation ceiling the search stops before any work; at
-    it, neither the bisection nor the label-sweep program grows with p:
-    the parent's sweep at (64, 1) on an 11-vertex instance ran for
-    minutes, and its label masks grew with the span."""
+    it, neither the bisection nor the label-sweep program grows with p,
+    so a label domain as wide as the span or a sweep step per gap would
+    not fit in this time and memory."""
     g = derive_graph(IntervalRep(((0, 4), (2, 6), (5, 9), (1, 3), (8, 12))))
     top = verify._EXACT_SEP_CEILING
     tracemalloc.start()
