@@ -5,9 +5,10 @@ Everything here is deliberately independent of the greedy labelers: the
 validator reads only the adjacency masks and looks up, per vertex, the
 vertices whose labels lie close to its own (label windows over the
 sorted labels), so it never touches the distance-2 masks the labelers
-share; the exact oracles search label space directly, and the
-clique/coloring routines use separate branch-and-bound code paths.  That
-way a bug in a labeler cannot hide behind shared machinery.
+share; the exact oracles search label space directly on their own
+distance-2 masks (``_oracle_dist2``), and the clique/coloring routines
+use separate branch-and-bound code paths.  That way a bug in a labeler
+or in its distance-2 kernel cannot hide behind shared machinery.
 
 The paper's span bounds (``class_bound``, ``circular_construction_bound``)
 and the ``BoundReport`` live here beside ``bound_report``, which alone
@@ -25,11 +26,11 @@ from .graph import (
     CapExceededError,
     Graph,
     GraphStats,
+    _memo,
     compute_stats,
     find_2k2,
     iter_bits,
     max_clique_mask,
-    square,
 )
 from .labeling import Labeling, LpqParams
 from .reps import (
@@ -152,6 +153,33 @@ def _label_sums(n: int, p: int, q: int) -> tuple[tuple[int, ...], ...]:
     return vals, pwin, qwin
 
 
+def _oracle_dist2(g: Graph) -> tuple[int, ...]:
+    """Per-vertex bitmask of the vertices at distance exactly 2, for the
+    exact oracles alone, memoised on ``g`` under its own name.  It
+    shares no code with ``Graph.dist2_masks``, the labelers' kernel, so
+    a fault there cannot hide in both a labeler and the oracle it is
+    checked against."""
+    return _memo(g, "_oracle_dist2", _common_neighbour_dist2)
+
+
+def _common_neighbour_dist2(g: Graph) -> tuple[int, ...]:
+    # v is within distance 2 of u when it is adjacent to a neighbour of
+    # u, their common neighbour: OR the rows of N(u), then drop N[u]
+    adj = g.adj_mask
+    out = []
+    for u, au in enumerate(adj):
+        reach = 0
+        for w in iter_bits(au):
+            reach |= adj[w]
+        out.append(reach & ~(au | 1 << u))
+    return tuple(out)
+
+
+def _oracle_square(g: Graph) -> Graph:
+    """The square of ``g`` from ``_oracle_dist2``."""
+    return Graph(g.n, [a | d for a, d in zip(g.adj_mask, _oracle_dist2(g))])
+
+
 def _feasible(
     g: Graph,
     vals: Sequence[int],
@@ -184,7 +212,7 @@ def _feasible(
     """
     n = g.n
     adj = g.adj_mask
-    d2 = g.dist2_masks()
+    d2 = _oracle_dist2(g)
 
     domains = [(1 << (top + 1)) - 1] * n
     anchor = max(range(n), key=lambda v: ((adj[v] | d2[v]).bit_count(), -v))
@@ -270,7 +298,7 @@ def _lambda_dp(g: Graph, p: int, q: int) -> int:
         return 0
     m = max(p, q)
     adj = g.adj_mask
-    d2 = g.dist2_masks()
+    d2 = _oracle_dist2(g)
     full = (1 << n) - 1
     heap = [(0, 1 << v, ((0, 1 << v),)) for v in range(n)]
     best = {(placed, prof): 0 for _, placed, prof in heap}
@@ -308,39 +336,51 @@ def _lambda_path_dp(g: Graph, p: int, q: int) -> int:
     or q (distance-2 pair).  When 2 * min(p, q) >= max(p, q) any pair
     two or more steps apart accumulates at least max(p, q), so the
     consecutive constraints are the only binding ones and the answer is
-    a cheapest Hamiltonian path (Held-Karp over vertex subsets).
-    Its one caller, ``exact_lambda``, checks both preconditions first.
+    a cheapest Hamiltonian path with two edge costs, lo = min(p, q) and
+    hi = max(p, q).  A cheap pair is a non-edge when p > q and an edge
+    when q > p; every other consecutive pair is a jump.  So the span is
+    (n - 1) * lo + (hi - lo) * (pc(H) - 1), where pc(H) is the fewest
+    vertex-disjoint paths covering H, the graph of cheap pairs
+    (Georges, Mauro and Whittlesey 1994).  When p = q it is (n - 1) * p
+    and no table is built.
+
+    pc(H) - 1 is the fewest jumps of an ordering of all vertices.  A DP
+    over vertex subsets keeps, per subset, that fewest count and the
+    union of the H-neighbourhoods of the vertices an ordering with that
+    count can end at.  Keeping only the fewest is exact: an ordering
+    ending with one more jump is matched by jumping from any fewest-jump
+    end.  Its one caller, ``exact_lambda``, checks both preconditions
+    first.
     """
     n = g.n
+    lo, hi = min(p, q), max(p, q)
     if n <= 1:
         return 0
-    adj = g.adj_mask
-    cost = [[p if (adj[u] >> v) & 1 else q for v in range(n)] for u in range(n)]
+    if lo == hi:
+        return (n - 1) * lo
     full = (1 << n) - 1
-    inf = float("inf")
-    dp = [[inf] * n for _ in range(full + 1)]
-    for v in range(n):
-        dp[1 << v][v] = 0
-    for mask in range(1, full + 1):
-        row = dp[mask]
-        rem = full & ~mask
-        if rem == 0:
-            continue
-        for last in iter_bits(mask):
-            c = row[last]
-            if c is inf:
-                continue
-            cl = cost[last]
-            r = rem
-            while r:
-                b = r & -r
-                r ^= b
-                nxt = b.bit_length() - 1
-                nm = mask | b
-                nc = c + cl[nxt]
-                if nc < dp[nm][nxt]:
-                    dp[nm][nxt] = nc
-    return int(min(dp[full]))
+    adj = g.adj_mask
+    # (bit of v, the vertices next to which v costs lo)
+    cheap = [(1 << v, adj[v] if q > p else full ^ adj[v] ^ (1 << v)) for v in range(n)]
+    # jumps[s]: fewest jumps over orderings of s; near[s]: the vertices
+    # that can follow one of them without a jump.  The empty set's -1
+    # makes every singleton cost 0.
+    jumps = [-1] * (full + 1)
+    near = [0] * (full + 1)
+    for t in range(1, full + 1):
+        best = n
+        reach = 0
+        for b, nb in cheap:
+            if t & b:
+                s = t ^ b
+                c = jumps[s] if near[s] & b else jumps[s] + 1
+                if c < best:
+                    best, reach = c, nb
+                elif c == best:
+                    reach |= nb
+        jumps[t] = best
+        near[t] = reach
+    return (n - 1) * lo + (hi - lo) * jumps[full]
 
 
 _FEASIBILITY_BUDGET = 120_000
@@ -354,10 +394,18 @@ _EXACT_SEP_CEILING = 10**6
 def exact_lambda(g: Graph, params: LpqParams, n_cap: int = 12) -> int:
     """Minimum achievable span over all valid L1 labelings of ``g``.
 
-    A complete square with 2*min(p,q) >= max(p,q) is answered first, by
-    a cheapest Hamiltonian path (``_lambda_path_dp``).  Every other
-    graph gets a binary search over the monotone feasibility predicate,
-    between two bounds read off the graph alone, never off a labeler.
+    Every distance-2 pair and square here come from ``_oracle_dist2``,
+    never from the labelers' ``Graph.dist2_masks``.  A complete square
+    with 2*min(p,q) >= max(p,q) is answered first by a path cover
+    (``_lambda_path_dp``): the span is (n-1)*min(p,q) plus |p-q| per
+    path beyond the first in a fewest-path cover of the cheap pairs,
+    the non-edges when p > q and the edges when q > p (Georges, Mauro
+    and Whittlesey 1994), found by a DP over vertex subsets that keeps
+    only the fewest jumps per subset, which is exact because one more
+    jump is always available from a fewest-jump end; when p = q it is
+    (n-1)*p outright.  Every other graph gets a binary search over the
+    monotone feasibility predicate, between two bounds read off the
+    graph alone, never off a labeler.
     The lower bound is the largest (|K|-1)*sep over one maximum clique K
     each of g, of its distance-2 graph and of its square, with sep p, q
     and min(p,q): their members need pairwise sep-separated labels
@@ -385,13 +433,13 @@ def exact_lambda(g: Graph, params: LpqParams, n_cap: int = 12) -> int:
     if g.n == 0 or g.m == 0:
         return 0
     p, q = params.p, params.q
-    sq = square(g)
+    sq = _oracle_square(g)
     if sq.m == g.n * (g.n - 1) // 2 and 2 * min(p, q) >= max(p, q):
         return _lambda_path_dp(g, p, q)
     by_sqdeg = sorted(range(g.n), key=lambda v: (-sq.adj_mask[v].bit_count(), v))
     cliques = (
         (max_clique_mask(g), p),
-        (max_clique_mask(Graph(g.n, g.dist2_masks())), q),
+        (max_clique_mask(Graph(g.n, _oracle_dist2(g))), q),
         (max_clique_mask(sq), min(p, q)),
     )
     lo = max((mask.bit_count() - 1) * sep for mask, sep in cliques)
@@ -456,7 +504,8 @@ def chi_square_exact(g: Graph, n_cap: int = 10) -> int:
 
     Independent of the L(1,1) oracle: colors the square graph directly
     with branch and bound between the size of a maximum clique of the
-    square and a greedy upper bound.  Raises CapExceededError when
+    square and a greedy upper bound.  The square is the oracles' own
+    (``_oracle_square``).  Raises CapExceededError when
     n > n_cap.
     """
     if g.n > n_cap:
@@ -465,7 +514,7 @@ def chi_square_exact(g: Graph, n_cap: int = 10) -> int:
         )
     if g.n == 0:
         return 0
-    sq = square(g)
+    sq = _oracle_square(g)
     order = sorted(range(sq.n), key=lambda v: -sq.adj_mask[v].bit_count())
     lb = max_clique_mask(sq).bit_count()
     ub = _greedy_coloring_count(sq, order)

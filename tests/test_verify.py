@@ -40,7 +40,7 @@ from intervallabel import (
     label_instance,
     validate,
 )
-from intervallabel import labeling, verify
+from intervallabel import graph, labeling, verify
 from intervallabel.graph import iter_bits
 from intervallabel.reps import REP_KINDS
 from intervallabel.verify import _lambda_dp, _lambda_path_dp
@@ -351,7 +351,7 @@ def test_exact_lambda_separation_ceiling(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("exact search started")
 
-    monkeypatch.setattr(verify, "square", no_work)
+    monkeypatch.setattr(verify, "_oracle_dist2", no_work)
     for params in (LpqParams(top + 1, 1), LpqParams(1, top + 1)):
         with pytest.raises(CapExceededError, match=rf"max\(p,q\)={top + 1} > ceiling={top}"):
             exact_lambda(g, params, n_cap=30)
@@ -426,6 +426,131 @@ def test_path_dp_agrees_on_complete_squares(monkeypatch):
             want = _naive_lambda(n, edges, p, q)
             assert _lambda_path_dp(g, p, q) == want
             assert exact_lambda(g, LpqParams(p, q)) == want
+
+
+def _held_karp_path(g, p, q):
+    """Reference for ``_lambda_path_dp``: the cheapest Hamiltonian path
+    with cost p on an edge and q on a non-edge, by Held-Karp over vertex
+    subsets (O(2^n n^2) relaxations, one float row per subset)."""
+    n = g.n
+    if n <= 1:
+        return 0
+    adj = g.adj_mask
+    cost = [[p if (adj[u] >> v) & 1 else q for v in range(n)] for u in range(n)]
+    full = (1 << n) - 1
+    inf = float("inf")
+    dp = [[inf] * n for _ in range(full + 1)]
+    for v in range(n):
+        dp[1 << v][v] = 0
+    for mask in range(1, full + 1):
+        row = dp[mask]
+        rem = full & ~mask
+        if rem == 0:
+            continue
+        for last in iter_bits(mask):
+            c = row[last]
+            if c is inf:
+                continue
+            cl = cost[last]
+            r = rem
+            while r:
+                b = r & -r
+                r ^= b
+                nxt = b.bit_length() - 1
+                nm = mask | b
+                nc = c + cl[nxt]
+                if nc < dp[nm][nxt]:
+                    dp[nm][nxt] = nc
+    return int(min(dp[full]))
+
+
+def test_path_dp_matches_held_karp_on_random_graphs():
+    """The path cover of the cheap pairs prices the cheapest two-cost
+    Hamiltonian path on any graph, so it equals Held-Karp whether or not
+    the square is complete."""
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        density = rng.random()
+        g = build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+        p, q = rng.randint(1, 6), rng.randint(1, 6)
+        seen.add((p > q) - (p < q))
+        assert _lambda_path_dp(g, p, q) == _held_karp_path(g, p, q), (g.adj_mask, p, q)
+    assert seen == {-1, 0, 1}
+
+
+def test_path_dp_matches_held_karp_on_complete_square_instances():
+    """Every complete-square ``gen_instance`` graph of the first two
+    seeds, five classes, n 4-12.  perfbench's checker cannot see an
+    off-by-one lambda at 6 <= n <= 12, so this is the guard there."""
+    checked = 0
+    for kind in REP_KINDS:
+        for n in range(4, 13):
+            for seed in range(2):
+                g = derive_graph(gen_instance(kind, n, seed))
+                if verify._oracle_square(g).m < n * (n - 1) // 2:
+                    continue
+                checked += 1
+                for p, q in ((2, 1), (1, 2), (3, 2), (2, 3), (1, 1)):
+                    assert _lambda_path_dp(g, p, q) == _held_karp_path(g, p, q), (
+                        kind, n, seed, p, q,
+                    )
+    assert checked >= 30
+
+
+@pytest.mark.parametrize(
+    "edges, pins",
+    [
+        ([(0, v) for v in range(1, 14)], {(2, 1): 14, (3, 2): 27, (1, 2): 24}),
+        (list(combinations(range(14), 2)), {(2, 1): 26, (3, 2): 39, (1, 2): 13}),
+    ],
+    ids=["K_1_13", "K_14"],
+)
+def test_exact_lambda_pins_at_the_ceiling(edges, pins):
+    """The star K_{1,13} and K_14 at n = 14: both squares are complete.
+    The star's cheap pairs cover in 2 paths at p > q and in 12 at q > p;
+    K_14's in 14 at p > q and in 1 at q > p."""
+    g = build_graph(14, edges)
+    for (p, q), want in pins.items():
+        assert exact_lambda(g, LpqParams(p, q), n_cap=14) == want
+
+
+def test_oracles_survive_a_broken_distance2_kernel(monkeypatch):
+    """The oracles compute their own distance-2 pairs: with the labelers'
+    kernel dropping one distance-2 pair, they still match brute force.
+    An L(1,1) labeling of span s is a colouring of G^2 with s + 1
+    colours, so ``_naive_lambda`` at (1,1) gives chi(G^2)."""
+    kernel = graph._dist2_masks
+
+    def drop_first_pair(g):
+        d2 = list(kernel(g))
+        u = next(v for v in range(g.n) if d2[v])
+        v = (d2[u] & -d2[u]).bit_length() - 1
+        d2[u] ^= 1 << v
+        d2[v] ^= 1 << u
+        return tuple(d2)
+
+    monkeypatch.setattr(graph, "_dist2_masks", drop_first_pair)
+    rng = random.Random(41)
+    cases = [
+        (4, [(0, 1), (1, 2), (2, 3)]),
+        (4, [(0, 1), (0, 2), (0, 3)]),
+        (5, [(i, (i + 1) % 5) for i in range(5)]),
+    ]
+    while len(cases) < 20:
+        n = rng.randint(3, 6)
+        edges = _random_edges(rng, n)
+        if any(kernel(build_graph(n, edges))):
+            cases.append((n, edges))
+    for n, edges in cases:
+        g = build_graph(n, edges)
+        assert g.dist2_masks() != kernel(g)
+        for p, q in ((2, 1), (1, 2), (3, 1), (1, 1)):
+            assert exact_lambda(g, LpqParams(p, q)) == _naive_lambda(n, edges, p, q), (
+                edges, p, q,
+            )
+        assert chi_square_exact(g) == _naive_lambda(n, edges, 1, 1) + 1, edges
 
 
 @pytest.mark.parametrize(
@@ -617,6 +742,33 @@ def test_every_module_reads_what_it_imports():
         if (names := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+_ORACLE_FUNCTIONS = (
+    "exact_lambda", "_feasible", "_lambda_dp", "_lambda_path_dp", "chi_square_exact",
+    "_oracle_dist2", "_common_neighbour_dist2", "_oracle_square",
+)
+
+
+def test_oracles_read_no_shared_distance2_kernel():
+    """No exact-oracle function names ``square`` or ``dist2_set`` or
+    reads ``dist2_masks``: the oracles keep their own distance-2 pairs
+    (``_oracle_dist2``), apart from the labelers' kernel."""
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    banned = {"square", "dist2_set", "dist2_masks"}
+    reads = {
+        name: sorted(
+            {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(defs[name])
+                if isinstance(node, ast.Name) and node.id in banned
+                or isinstance(node, ast.Attribute) and node.attr in banned
+            }
+        )
+        for name in _ORACLE_FUNCTIONS
+    }
+    assert reads == {name: [] for name in _ORACLE_FUNCTIONS}
 
 
 # ---------------------------------------------------------------------------
