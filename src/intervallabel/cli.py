@@ -337,8 +337,11 @@ def _bench_instance(task: tuple) -> tuple[list[dict[str, Any]], list[str]]:
 
 
 def _map_tasks(worker, tasks: list, jobs: int) -> list:
-    # The fork pool starts every worker up front; never start idle ones.
-    jobs = min(jobs, len(tasks))
+    if jobs < 1:
+        raise CliError(f"--jobs must be positive, got {jobs}")
+    # The fork pool starts every worker up front; never start idle ones,
+    # nor more than there are CPUs.
+    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs <= 1:
         return [worker(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -19,9 +19,10 @@ exactly when they share an integer point.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, ClassVar, Sequence, Union, get_args
 
 from .graph import Graph, _memo, iter_bits
@@ -199,6 +200,18 @@ def arc_clique_number(rep: CircularArcRep) -> int:
     before x starts outside a; taking y by increasing inside start, each
     one greedily matches the pooled x of smallest outside start above
     its own end, which is a maximum matching because pools only grow.
+
+    The matching runs on bitmasks over start ranks, with no sorting per
+    arc: the arcs are renumbered once by start, and each arc's "ends
+    before my start" and "starts after my end" masks are built once.
+    Candidates a go by decreasing union size (the arcs no shorter than
+    a that cover s_a or e_a), and the scan stops at the first that
+    cannot beat the best clique so far.  The y run in rank order
+    rotated to begin at s_a, which is increasing inside start; the pool
+    is X ending in [s_a, s_y) minus the matched x; and the x of smallest
+    outside start above e_y is the lowest pool rank starting in
+    (e_y, e_a], read circularly.  A candidate's matching stops as soon
+    as it can no longer beat the best.
     """
     return _memo(rep, "_omega", _arc_clique_number)
 
@@ -222,37 +235,46 @@ def _arc_cover(
 
 
 def _arc_clique_number(rep: CircularArcRep) -> int:
-    arcs, circ = rep.arcs, rep.circumference
+    circ = rep.circumference
+    arcs = sorted(rep.arcs)  # ids are start ranks from here on
+    starts, low, cover = _arc_cover(arcs)  # low[i]: the i lowest ranks
+    ends, end_masks = _below([e for _, e in arcs])
     lengths = [(e - s) % circ for s, e in arcs]
-    _, _, cover = _arc_cover(arcs)
     neg_len, long_masks = _below([-length for length in lengths])
-    best = 0
-    for a, (sa, ea) in enumerate(arcs):
+    # per arc: the arcs ending before its start, and the ranks starting
+    # after its end
+    ends_before = [end_masks[bisect_left(ends, s)] for s, _ in arcs]
+    starts_after = [~low[bisect_right(starts, e)] for _, e in arcs]
+
+    def covers(a: int) -> tuple[int, int]:
         long = long_masks[bisect_right(neg_len, -lengths[a])]
-        ps, pe = cover(sa) & long, cover(ea) & long
-        size = (ps | pe).bit_count()
+        return cover(arcs[a][0]) & long, cover(arcs[a][1]) & long
+
+    sizes = [(ps | pe).bit_count() for ps, pe in map(covers, range(len(arcs)))]
+    best = 0
+    for a in sorted(range(len(arcs)), key=sizes.__getitem__, reverse=True):
+        size = sizes[a]
         if size <= best:
-            continue
-        # Keys (inside, outside), measured from s_a and from e_a: an x
-        # by its end and start, a y by its start and end.
-        xs = sorted(
-            ((arcs[x][1] - sa) % circ, (arcs[x][0] - ea) % circ)
-            for x in iter_bits(ps & ~pe)
-        )
-        ys = sorted(
-            ((arcs[y][0] - sa) % circ, (arcs[y][1] - ea) % circ)
-            for y in iter_bits(pe & ~ps)
-        )
-        pool: list[int] = []
-        i = 0
-        for inside, outside in ys:
-            while i < len(xs) and xs[i][0] < inside:
-                insort(pool, xs[i][1])
-                i += 1
-            j = bisect_right(pool, outside)
-            if j < len(pool):
-                del pool[j]
+            break
+        ps, pe = covers(a)
+        free, ys = ps & ~pe, pe & ~ps
+        ea, outside, upto_ea = arcs[a][1], ~ends_before[a], ~starts_after[a]
+        # y by inside start: the ranks after a, then those before it
+        for y in chain(iter_bits(ys & ~low[a + 1]), iter_bits(ys & low[a])):
+            # the free x ending inside a before y starts
+            pool = ends_before[y] & outside if y > a else ends_before[y] | outside
+            pool &= free
+            # of those, the lowest rank starting in (e_y, e_a]: the
+            # smallest outside start above y's end
+            if arcs[y][1] > ea:  # the range wraps past rank 0
+                match = pool & starts_after[y] or pool & upto_ea
+            else:
+                match = pool & starts_after[y] & upto_ea
+            if match:
+                free ^= match & -match
                 size -= 1
+                if size <= best:
+                    break
         best = max(best, size)
     return best
 

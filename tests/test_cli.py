@@ -687,7 +687,9 @@ def test_bench_max_degree_one_is_report_only(capsys, cls, seed, pq):
     assert row["holds"] == "false"
 
 
-def test_map_tasks_starts_no_more_workers_than_tasks(monkeypatch):
+def _fake_pool(monkeypatch, cpus):
+    """Replace the process pool by one that records ``max_workers`` and
+    maps in this process, on a machine with ``cpus`` CPUs."""
     seen = []
 
     class FakePool:
@@ -704,11 +706,45 @@ def test_map_tasks_starts_no_more_workers_than_tasks(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    return seen
+
+
+def test_map_tasks_starts_no_more_workers_than_tasks(monkeypatch):
+    seen = _fake_pool(monkeypatch, 8)
     assert cli._map_tasks(abs, [-1, -2], 5000) == [1, 2]
     assert cli._map_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
     assert cli._map_tasks(abs, [-4], 5000) == [4]
     assert cli._map_tasks(abs, [], 5000) == []
     assert seen == [2, 2]
+
+
+def test_map_tasks_starts_no_more_workers_than_cpus(monkeypatch, capsys):
+    """--jobs 100000 once asked the pool for one worker per task."""
+    argv = ["bench", "--class", "interval", "--n", "5", "--seed", "1",
+            "--count", "5", "--pq", "2,1"]
+    _, serial = _bench_rows(argv, capsys)
+    seen = _fake_pool(monkeypatch, 3)
+    _, pooled = _bench_rows(argv + ["--jobs", "100000"], capsys)
+    assert seen == [3]
+    assert _strip_timings(pooled) == _strip_timings(serial)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: serial
+    _, unknown = _bench_rows(argv + ["--jobs", "100000"], capsys)
+    assert seen == [3]
+    assert _strip_timings(unknown) == _strip_timings(serial)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", ["bench", "claims"])
+def test_non_positive_jobs_is_a_usage_error(monkeypatch, capsys, command, jobs):
+    """Both commands once ran serially on --jobs 0 or below."""
+    seen = _fake_pool(monkeypatch, 8)
+    argv = [command, "--class", "interval", "--n", "3", "--seed", "1",
+            "--count", "2", "--jobs", jobs]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"--jobs must be positive, got {jobs}" in captured.err
+    assert captured.out == "" and seen == []
 
 
 def test_bench_skips_oracle_beyond_cap(capsys):
@@ -740,6 +776,21 @@ def test_bench_arc_exact_omega_beyond_64(capsys):
     assert rc == 0
     (row,) = json.loads(capsys.readouterr().out)
     assert (row["omega"], row["span"], row["bound"], row["holds"]) == (11, 38, 47, True)
+
+
+@pytest.mark.parametrize(
+    "density, omegas",
+    [([], ["178", "162", "181"]), (["--density", "0.05"], ["14", "17", "15"])],
+)
+def test_bench_arc_omega_column_is_pinned(capsys, density, omegas):
+    """The exact arc omega of three n-300 instances, dense and sparse."""
+    rc, rows = _bench_rows(
+        ["bench", "--class", "circular_arc", "--n", "300", "--seed", "3",
+         "--count", "3", "--pq", "2,1", *density],
+        capsys,
+    )
+    assert rc == 0
+    assert [row["omega"] for row in rows] == omegas
 
 
 def test_bench_arc_construction_bound_fails_run(capsys):

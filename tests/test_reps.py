@@ -4,7 +4,9 @@ circular split and the interval-order helpers."""
 import gc
 import json
 import random
+import tracemalloc
 import weakref
+from bisect import bisect_right, insort
 from collections import Counter
 
 import pytest
@@ -460,6 +462,106 @@ def test_arc_clique_number_sparse_sweep():
         rep = gen_instance("circular_arc", n, seed, density=(0.05, 0.1)[seed % 2])
         g = derive_graph(rep)
         assert arc_clique_number(rep) == clique_number_exact(g, cap=n), (n, seed)
+
+
+def _arc_clique_number_reference(rep):
+    """The per-candidate sorting form of ``arc_clique_number``: every arc
+    a is a candidate, its x and y are sorted by (inside, outside) keys,
+    and each y takes the pooled x of smallest outside start above its
+    end from a sorted list."""
+    arcs, circ = rep.arcs, rep.circumference
+    lengths = [(e - s) % circ for s, e in arcs]
+    _, _, cover = reps._arc_cover(arcs)
+    neg_len, long_masks = reps._below([-length for length in lengths])
+    best = 0
+    for a, (sa, ea) in enumerate(arcs):
+        long = long_masks[bisect_right(neg_len, -lengths[a])]
+        ps, pe = cover(sa) & long, cover(ea) & long
+        size = (ps | pe).bit_count()
+        if size <= best:
+            continue
+        # Keys (inside, outside), measured from s_a and from e_a: an x
+        # by its end and start, a y by its start and end.
+        xs = sorted(
+            ((arcs[x][1] - sa) % circ, (arcs[x][0] - ea) % circ)
+            for x in graph.iter_bits(ps & ~pe)
+        )
+        ys = sorted(
+            ((arcs[y][0] - sa) % circ, (arcs[y][1] - ea) % circ)
+            for y in graph.iter_bits(pe & ~ps)
+        )
+        pool: list[int] = []
+        i = 0
+        for inside, outside in ys:
+            while i < len(xs) and xs[i][0] < inside:
+                insort(pool, xs[i][1])
+                i += 1
+            j = bisect_right(pool, outside)
+            if j < len(pool):
+                del pool[j]
+                size -= 1
+        best = max(best, size)
+    return best
+
+
+@pytest.mark.parametrize("density", [None, 0.05, 0.3])
+def test_arc_clique_number_matches_reference_at_scale(density):
+    for n, seed in ((50, 0), (200, 1), (600, 2), (1500, 3)):
+        rep = gen_instance("circular_arc", n, seed, density=density)
+        assert arc_clique_number(rep) == _arc_clique_number_reference(rep), (n, seed)
+
+
+def test_arc_clique_number_matches_reference_on_a_day_long_circle():
+    """The grid-sweep shape: n <= 64 arcs on a circle of 86 400 points."""
+    for seed in range(60):
+        n = 20 + seed * 11 % 45
+        rep = gen_instance("circular_arc", n, seed, circumference=86_400)
+        assert arc_clique_number(rep) == _arc_clique_number_reference(rep), (n, seed)
+
+
+def test_arc_clique_number_matches_reference_with_shared_endpoints():
+    """Duplicated arcs and equal starts and ends, on circles so small that
+    most endpoints are shared."""
+    rng = random.Random(20)
+    for _ in range(1500):
+        circ = rng.randint(2, 12)
+        starts = [rng.randrange(circ) for _ in range(rng.randint(1, 10))]
+        arcs = [(s, (s + rng.randrange(1, circ)) % circ) for s in starts]
+        arcs += rng.choices(arcs, k=rng.randint(0, 4))
+        rng.shuffle(arcs)
+        rep = CircularArcRep(tuple(arcs), circ)
+        assert arc_clique_number(rep) == _arc_clique_number_reference(rep), arcs
+    # pairwise meeting, but no point lies in all six
+    shared = CircularArcRep(((0, 5), (0, 3), (2, 5), (0, 5), (5, 0), (3, 0)), 8)
+    assert arc_clique_number(shared) == _arc_clique_number_reference(shared) == 6
+    assert clique_number_exact(derive_graph(shared)) == 6
+
+
+def _omega_peak(rep):
+    tracemalloc.start()
+    try:
+        omega = arc_clique_number(rep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return omega, peak
+
+
+@pytest.mark.parametrize("density", [None, 0.05])
+def test_arc_clique_number_ignores_coordinate_size(density):
+    """Scaling every endpoint and the circumference, up to a 2**62 circle,
+    keeps omega and keeps the memory near the unscaled peak."""
+    rep = gen_instance("circular_arc", 300, 7, density=density)
+    omega, peak = _omega_peak(rep)
+    for factor in (3, 2**62 // rep.circumference):
+        scaled = CircularArcRep(
+            tuple((s * factor, e * factor) for s, e in rep.arcs),
+            rep.circumference * factor,
+        )
+        assert scaled.circumference <= 2**62
+        scaled_omega, scaled_peak = _omega_peak(scaled)
+        assert scaled_omega == omega, factor
+        assert scaled_peak < 1.5 * peak, (factor, scaled_peak, peak)
 
 
 # ---------------------------------------------------------------------------
