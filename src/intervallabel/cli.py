@@ -22,8 +22,8 @@ plain ASCII decimal ("1", "0.5", "0.05"); " 0.5", "+0.5", ".5", "0.5_0",
 Exit status: 0 on success, 1 when a validity violation, a failed
 non-report-only bound, or a claim violation was found, or when ``label``
 or ``bench`` produced an arc labeling whose span exceeds the split
-construction's own bound, 2 on usage or input errors.  ``label`` and
-``bench`` also name each such failure on stderr.
+construction's own bound, 2 on usage, input or output errors.  ``label``
+and ``bench`` also name each such failure on stderr.
 """
 
 from __future__ import annotations
@@ -160,9 +160,20 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _write(path: str | Path, data: bytes, parents: bool = False) -> None:
+    """Write ``data`` to ``path``, first making its missing directories
+    when ``parents``; an OSError becomes a CliError (exit 2)."""
+    try:
+        if parents:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_or_print(payload: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(payload, encoding="utf-8")
+        _write(out, payload.encode())
     else:
         sys.stdout.write(payload)
 
@@ -170,11 +181,10 @@ def _write_or_print(payload: str, out: str | None) -> None:
 def cmd_gen(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for idx in range(cfg.count):
         rep = cfg.instance(idx)
         path = out_dir / f"{cfg.kind}-{cfg.seed}-{idx}.json"
-        path.write_bytes(serialize_instance(rep))
+        _write(path, serialize_instance(rep), parents=True)
         print(path)
     return 0
 
@@ -229,10 +239,10 @@ def cmd_label(args: argparse.Namespace) -> int:
     rep = _load_instance(args.infile)
     lab, report, failures, _ = _label_point(rep, LpqParams(args.p, args.q))
     if args.out:
-        Path(args.out).write_bytes(serialize_labeling(lab))
+        _write(args.out, serialize_labeling(lab))
     report_json = json.dumps([report.to_dict()], indent=2) + "\n"
     if args.report:
-        Path(args.report).write_text(report_json, encoding="utf-8")
+        _write(args.report, report_json.encode())
     if not args.out and not args.report:
         sys.stdout.write(
             json.dumps(

@@ -107,13 +107,11 @@ def _dist2_masks(g: Graph) -> tuple[int, ...]:
 class GraphStats:
     """Parameters the span bounds are stated in.
 
-    ``multiplicity`` is the maximum number of common neighbors over all
-    unordered pairs of distinct vertices, adjacent or not;
-    ``multiplicity_nonadjacent`` restricts the maximum to non-adjacent
-    pairs (0 when no two non-adjacent vertices share a neighbor).  Both
-    are exact; :func:`compute_stats` finds them without trying every
-    pair.  ``omega`` is the exact clique number; :func:`compute_stats`
-    leaves it None, and ``verify.bound_report`` fills it in for arcs.
+    ``multiplicity`` (mu) is the maximum number of common neighbors over
+    all unordered pairs of distinct vertices, adjacent or not; it is exact,
+    and :func:`compute_stats` finds it without trying every pair.
+    ``omega`` is the exact clique number; :func:`compute_stats` leaves it
+    None, and ``verify.bound_report`` fills it in for arcs.
     :func:`compute_stats` memoises one instance per graph, freed with the
     graph; it is frozen, so every caller can share it.
     """
@@ -123,7 +121,6 @@ class GraphStats:
     max_degree: int
     min_degree: int
     multiplicity: int
-    multiplicity_nonadjacent: int
     is_connected: bool
     omega: int | None = None
 
@@ -176,25 +173,22 @@ def is_connected(g: Graph) -> bool:
 def compute_stats(g: Graph) -> GraphStats:
     """Degree, multiplicity and connectivity statistics of ``g`` (omega None).
 
-    Memoised on ``g`` and freed with it.  The multiplicities come from a
-    scan pruned by degree (see ``_multiplicities``); the non-adjacent one
-    reads the memoised :meth:`Graph.dist2_masks`.
+    Memoised on ``g`` and freed with it.  The multiplicity comes from a
+    scan pruned by degree (see ``_multiplicity``) that reads the memoised
+    :meth:`Graph.dist2_masks`.
     """
     return _memo(g, "_stats", _compute_stats)
 
 
-def _multiplicities(g: Graph, degrees: Sequence[int]) -> tuple[int, int]:
-    """(mu, mu_nonadj): the most common neighbors of a pair of distinct
-    vertices, and of a non-adjacent pair.
+def _multiplicity(g: Graph, degrees: Sequence[int]) -> int:
+    """mu: the most common neighbors of a pair of distinct vertices.
 
-    A pair shares at most min(deg u, deg v) neighbors, and an adjacent
-    pair one fewer (each is the other's neighbor).  So the vertices are
-    visited by non-increasing degree, each u is paired only with later
-    vertices whose degree can still beat the running maximum, and the
-    scan stops once deg u <= mu_nonadj (<= mu): no pair left can beat
-    either.  Non-adjacent pairs with a common neighbor are the distance-2
-    pairs.  "Degree above t" is a prefix of the visiting order, found by
-    bisect.
+    A pair shares at most min(deg u, deg v) neighbors, and only a pair
+    within distance 2 shares any.  So the vertices are visited by
+    non-increasing degree, each u is paired only with the later vertices
+    of N(u) | D2(u) whose degree is above the running maximum, and the
+    scan stops at the first u with deg u <= mu: no pair left can beat it.
+    "Degree above mu" is a prefix of the visiting order, found by bisect.
     """
     adj = g.adj_mask
     d2 = g.dist2_masks()
@@ -203,35 +197,26 @@ def _multiplicities(g: Graph, degrees: Sequence[int]) -> tuple[int, int]:
     prefix = [0]
     for v in order:
         prefix.append(prefix[-1] | 1 << v)
-    mu = mu_nonadj = 0
+    mu = 0
     for i, u in enumerate(order):
-        du = degrees[u]
-        if du <= mu_nonadj:
+        if degrees[u] <= mu:
             break
-        visited = prefix[i + 1]
-        if du > mu + 1:
-            for v in iter_bits(adj[u] & prefix[bisect_left(neg_deg, -mu - 1)] & ~visited):
-                common = (adj[u] & adj[v]).bit_count()
-                if common > mu:
-                    mu = common
-        for v in iter_bits(d2[u] & prefix[bisect_left(neg_deg, -mu_nonadj)] & ~visited):
+        later = prefix[bisect_left(neg_deg, -mu)] & ~prefix[i + 1]
+        for v in iter_bits((adj[u] | d2[u]) & later):
             common = (adj[u] & adj[v]).bit_count()
-            if common > mu_nonadj:
-                mu_nonadj = common
-        mu = max(mu, mu_nonadj)
-    return mu, mu_nonadj
+            if common > mu:
+                mu = common
+    return mu
 
 
 def _compute_stats(g: Graph) -> GraphStats:
     degrees = [mk.bit_count() for mk in g.adj_mask]
-    mu, mu_nonadj = _multiplicities(g, degrees)
     return GraphStats(
         n=g.n,
         m=g.m,
         max_degree=max(degrees, default=0),
         min_degree=min(degrees, default=0),
-        multiplicity=mu,
-        multiplicity_nonadjacent=mu_nonadj,
+        multiplicity=_multiplicity(g, degrees),
         is_connected=is_connected(g),
     )
 

@@ -335,6 +335,16 @@ def test_label_huge_separations(tmp_path, capsys, kind, pq):
     assert doc["labeling"]["p"] == pq[0]
 
 
+def test_label_report_stats_keys(tmp_path):
+    inst = _p3_instance(tmp_path)
+    report = tmp_path / "report.json"
+    assert main(["label", "--in", inst, "--p", "2", "--q", "1", "--report", str(report)]) == 0
+    (doc,) = json.loads(report.read_text())
+    assert set(doc["stats"]) == {
+        "n", "m", "max_degree", "min_degree", "multiplicity", "is_connected", "omega"
+    }
+
+
 def test_label_missing_file(tmp_path, capsys):
     rc = main(["label", "--in", str(tmp_path / "nope.json"), "--p", "1", "--q", "1"])
     assert rc == 2
@@ -347,6 +357,40 @@ def test_label_malformed_instance(tmp_path, capsys):
     rc = main(["label", "--in", str(bad), "--p", "1", "--q", "1"])
     assert rc == 2
     assert "invalid interval instance" in capsys.readouterr().err
+
+
+def _unwritable_argv(tmp_path, command):
+    """argv for ``command`` whose output path cannot be written: gen's
+    --out names an existing file, every other path is in a missing
+    directory."""
+    inst = _p3_instance(tmp_path)
+    missing = str(tmp_path / "missing" / "out.json")
+    if command == "gen":
+        (tmp_path / "file").write_text("")
+        return ["gen", "--class", "interval", "--n", "4", "--seed", "1",
+                "--out", str(tmp_path / "file")]
+    if command.startswith("label"):
+        flag = command.split()[1]
+        return ["label", "--in", inst, "--p", "2", "--q", "1", flag, missing]
+    if command == "check":
+        lab = tmp_path / "lab.json"
+        assert main(["label", "--in", inst, "--p", "2", "--q", "1", "--out", str(lab)]) == 0
+        return ["check", "--in", inst, "--labeling", str(lab), "--out", missing]
+    return ["bench", "--class", "interval", "--n", "6", "--seed", "3", "--count", "2",
+            "--pq", "2,1", "--out", missing]
+
+
+@pytest.mark.parametrize(
+    "command", ["gen", "label --out", "label --report", "check", "bench"]
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, command):
+    argv = _unwritable_argv(tmp_path, command)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write "), lines
+    assert "Traceback" not in captured.err + captured.out
 
 
 # ---------------------------------------------------------------------------

@@ -492,7 +492,6 @@ def _stats(dd, mu=1):
         max_degree=dd,
         min_degree=1,
         multiplicity=mu,
-        multiplicity_nonadjacent=mu,
         is_connected=True,
         omega=None,
     )
