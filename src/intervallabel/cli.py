@@ -23,7 +23,8 @@ Exit status: 0 on success, 1 when a validity violation, a failed
 non-report-only bound, or a claim violation was found, or when ``label``
 or ``bench`` produced an arc labeling whose span exceeds the split
 construction's own bound, 2 on usage, input or output errors.  ``label``
-and ``bench`` also name each such failure on stderr.
+and ``bench`` also name each such failure on stderr.  ``bench`` and
+``claims`` check that --out can be written before their first instance.
 """
 
 from __future__ import annotations
@@ -167,6 +168,23 @@ def _write(path: str | Path, data: bytes, parents: bool = False) -> None:
         if parents:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
         Path(path).write_bytes(data)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_writable(path: str | None) -> None:
+    """Fail now, as ``_write`` would fail later, when ``path`` cannot be
+    opened for writing, so a long sweep is not run for nothing.  An
+    existing file is opened for appending and left as it was; a file
+    this check creates is removed again."""
+    if not path:
+        return
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "ab"):
+            pass
+        if not existed:
+            os.unlink(path)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
@@ -361,6 +379,7 @@ def _map_tasks(worker, tasks: list, jobs: int) -> list:
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     pairs = _parse_pq(args.pq)
+    _check_writable(args.out)
     tasks = [(cfg, idx, pairs, args.cap) for idx in range(cfg.count)]
     results = _map_tasks(_bench_instance, tasks, args.jobs)
     rows = [row for chunk, _ in results for row in chunk]
@@ -400,6 +419,7 @@ def cmd_claims(args: argparse.Namespace) -> int:
                 )
     cfg = _run_config(args)
     claims = tuple(args.claim) if args.claim else None
+    _check_writable(args.out)
     tasks = [(cfg, idx, claims) for idx in range(cfg.count)]
     results = _map_tasks(_claims_instance, tasks, args.jobs)
     by_claim: dict[str, list[tuple[int, ClaimCheck]]] = {}

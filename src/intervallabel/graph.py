@@ -55,7 +55,7 @@ class Graph:
     def __init__(self, n: int, masks: Sequence[int]):
         self.n = n
         self.adj_mask: tuple[int, ...] = tuple(masks)
-        self.m = sum(mk.bit_count() for mk in self.adj_mask) // 2
+        self.m = sum(map(int.bit_count, self.adj_mask)) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj_mask[u] >> v & 1)
@@ -227,7 +227,12 @@ def max_clique_mask(g: Graph) -> int:
     Branch and bound from an empty incumbent: the candidates are greedily
     colored at each node, and a branch is cut when the current clique
     plus the candidate's color class index cannot beat the incumbent.
+    Memoised on ``g`` and freed with it.
     """
+    return _memo(g, "_max_clique", _max_clique_mask)
+
+
+def _max_clique_mask(g: Graph) -> int:
     adjm = g.adj_mask
     best = 0
     best_size = 0

@@ -10,10 +10,16 @@ common-neighbor and distance<=2 variants).  The span is max(f) - min(f).
 All labelers here run one first-fit greedy, ``_first_fit``, over an
 ordering derived from the representation (non-increasing right
 endpoint, degree-one vertices deferred to the end).  The interval and
-circular-arc labelers run it at L(m, m) with m = max(p, q): while every
-placed label is a multiple of m the smallest free label is one too, so
-their labels are multiples of m, which is what makes their spans
-provably small.
+circular-arc labelers label with multiples of m = max(p, q), which is
+what makes their spans provably small.  First-fit at L(m, m) gives
+exactly m times first-fit at L(1, 1) on the same order: while every
+placed label is a multiple of m, each window (f - m, f + m) bars one
+multiple, f, so the least free label is m times the least free label
+of the (1, 1) run.  So those labelers run first-fit once per
+representation, at (1, 1), and each (p, q) point scales the result by
+m.  That run, the arc split's clique order and the rightpoint
+labelers' deferred order depend on the representation alone; each is
+memoised on it and freed with it.
 
 The first-fit keeps each placed label once, with a mask of the vertices
 holding it, in blocks of consecutive labels that also record the union
@@ -33,7 +39,7 @@ from functools import reduce
 from operator import or_, sub
 from typing import Any, Iterable, Sequence
 
-from .graph import Graph
+from .graph import Graph, _memo
 from .instances import _json_object
 from .reps import (
     CircularArcRep,
@@ -245,27 +251,37 @@ def defer_degree_one(g: Graph, base: Sequence[int]) -> list[int]:
     return keep + defer
 
 
+def _unit_interval(rep: IntervalRep) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Right-endpoint order and its first-fit labels at L(1, 1)."""
+    order = tuple(rightpoint_order_desc(rep))
+    labels = [0] * rep.n
+    _first_fit(derive_graph(rep), order, 1, 1, labels)
+    return order, tuple(labels)
+
+
 def label_interval(rep: IntervalRep, params: LpqParams) -> Labeling:
     """Right-endpoint first-fit at L(m, m), m = max(p, q), so every label
-    is a multiple of m; span <= m*Delta."""
+    is a multiple of m; span <= m*Delta.  Computed as m times the
+    memoised first-fit at L(1, 1), which it equals."""
     if not isinstance(rep, IntervalRep):
         raise TypeError(f"expected IntervalRep, got {type(rep).__name__}")
-    g = derive_graph(rep)
-    order = rightpoint_order_desc(rep)
+    order, unit = _memo(rep, "_unit_labels", _unit_interval)
     m = params.max_sep
-    labels = [0] * g.n
-    _first_fit(g, order, m, m, labels)
-    return Labeling(tuple(labels), params.p, params.q, "interval-multiples", tuple(order))
+    labels = tuple([m * x for x in unit])
+    return Labeling(labels, params.p, params.q, "interval-multiples", order)
+
+
+def _deferred_order(rep: Representation) -> tuple[int, ...]:
+    return tuple(defer_degree_one(derive_graph(rep), rightpoint_order_desc(rep)))
 
 
 def _rightpoint_deferred(rep: Representation, params: LpqParams, cls: type) -> Labeling:
     if not isinstance(rep, cls):
         raise TypeError(f"expected {cls.__name__}, got {type(rep).__name__}")
-    g = derive_graph(rep)
-    order = defer_degree_one(g, rightpoint_order_desc(rep))
-    labels = [0] * g.n
-    _first_fit(g, order, params.p, params.q, labels)
-    return Labeling(tuple(labels), params.p, params.q, "rightpoint-greedy", tuple(order))
+    order = _memo(rep, "_deferred_order", _deferred_order)
+    labels = [0] * rep.n
+    _first_fit(derive_graph(rep), order, params.p, params.q, labels)
+    return Labeling(tuple(labels), params.p, params.q, "rightpoint-greedy", order)
 
 
 def label_interval_k(rep: IntervalKRep, params: LpqParams) -> Labeling:
@@ -280,6 +296,21 @@ def label_cointerval(rep: IntervalOrderRep, params: LpqParams) -> Labeling:
     return _rightpoint_deferred(rep, params, IntervalOrderRep)
 
 
+def _unit_arc_split(rep: CircularArcRep) -> tuple[list[int], list[int], tuple[int, ...]]:
+    """Line order, clique order, and the line part's first-fit labels at
+    L(1, 1) (0 on the clique)."""
+    split = split_circular(rep)
+    line_order = [split.line_ids[i] for i in rightpoint_order_desc(split.intervals)]
+    labels = [0] * rep.n
+    _first_fit(derive_graph(rep), line_order, 1, 1, labels)
+    circ = rep.circumference
+    clique_order = sorted(
+        split.clique_ids,
+        key=lambda v: (-((rep.arcs[v][1] - rep.arcs[v][0]) % circ), v),
+    )
+    return line_order, clique_order, tuple(labels)
+
+
 def label_circular_arc(rep: CircularArcRep, params: LpqParams) -> Labeling:
     """Split the circle, label the line part first-fit at L(m, m) with
     m = max(p, q), so with multiples of m, then stack the cut clique
@@ -287,22 +318,16 @@ def label_circular_arc(rep: CircularArcRep, params: LpqParams) -> Labeling:
 
     Distance-2 relations are taken in the full circular-arc graph, so the
     line-part labels stay valid once the clique labels land on top.  The
-    clique is labeled in non-increasing arc length, ties by id.
+    clique is labeled in non-increasing arc length, ties by id.  The
+    line part is m times the memoised first-fit at L(1, 1), which it
+    equals; the clique is stacked per call.
     """
     if not isinstance(rep, CircularArcRep):
         raise TypeError(f"expected CircularArcRep, got {type(rep).__name__}")
-    g = derive_graph(rep)
-    split = split_circular(rep)
+    line_order, clique_order, unit = _memo(rep, "_unit_labels", _unit_arc_split)
     m = params.max_sep
-    labels = [0] * g.n
-    line_order = [split.line_ids[i] for i in rightpoint_order_desc(split.intervals)]
-    _first_fit(g, line_order, m, m, labels)
+    labels = [m * x for x in unit]
     base = max((labels[v] for v in line_order), default=-m) + m
-    circ = rep.circumference
-    clique_order = sorted(
-        split.clique_ids,
-        key=lambda v: (-((rep.arcs[v][1] - rep.arcs[v][0]) % circ), v),
-    )
     for i, v in enumerate(clique_order):
         labels[v] = base + i * params.p
     ordering = tuple(line_order + clique_order)

@@ -176,8 +176,30 @@ def _common_neighbour_dist2(g: Graph) -> tuple[int, ...]:
 
 
 def _oracle_square(g: Graph) -> Graph:
-    """The square of ``g`` from ``_oracle_dist2``."""
+    """The square of ``g`` from ``_oracle_dist2``, memoised on ``g``."""
+    return _memo(g, "_oracle_square", _build_oracle_square)
+
+
+def _build_oracle_square(g: Graph) -> Graph:
     return Graph(g.n, [a | d for a, d in zip(g.adj_mask, _oracle_dist2(g))])
+
+
+def _oracle_dist2_graph(g: Graph) -> Graph:
+    """The distance-2 graph of ``g`` from ``_oracle_dist2``, memoised on ``g``."""
+    return _memo(g, "_oracle_dist2_graph", lambda h: Graph(h.n, _oracle_dist2(h)))
+
+
+def _square_colouring(g: Graph) -> tuple[tuple[int, ...], int]:
+    """The vertices by non-increasing degree in ``_oracle_square``, ties
+    by id, and how many colours greedy colouring in that order uses.
+    Both depend on ``g`` alone and are memoised on it."""
+    return _memo(g, "_square_colouring", _build_square_colouring)
+
+
+def _build_square_colouring(g: Graph) -> tuple[tuple[int, ...], int]:
+    sq = _oracle_square(g)
+    order = tuple(sorted(range(g.n), key=lambda v: (-sq.adj_mask[v].bit_count(), v)))
+    return order, _greedy_coloring_count(sq, order)
 
 
 def _feasible(
@@ -215,7 +237,8 @@ def _feasible(
     d2 = _oracle_dist2(g)
 
     domains = [(1 << (top + 1)) - 1] * n
-    anchor = max(range(n), key=lambda v: ((adj[v] | d2[v]).bit_count(), -v))
+    # a vertex of largest degree in the square, the lowest such id
+    anchor = _square_colouring(g)[0][0]
     domains[anchor] = (1 << bisect_right(vals, vals[top] // 2)) - 1
     nodes = 0
 
@@ -413,7 +436,11 @@ def exact_lambda(g: Graph, params: LpqParams, n_cap: int = 12) -> int:
     its neighbours are a clique of the square.  The upper bound colours
     the square greedily with k colours and labels colour c with
     c*max(p,q), a valid labeling of span (k-1)*max(p,q).  The same three
-    cliques feed pigeonhole cuts into the probes.  When a probe blows
+    cliques feed pigeonhole cuts into the probes.  The square, the
+    distance-2 graph, their cliques and the colouring depend on g alone:
+    they are memoised on g, so every (p, q) point and
+    ``chi_square_exact`` share them, and each keeps its own search.
+    When a probe blows
     its node budget the question is re-solved whole by the label-sweep
     dynamic program.  Raises CapExceededError, before any work, when
     max(p,q) > _EXACT_SEP_CEILING or when n > n_cap or n > 14, a fixed
@@ -436,14 +463,13 @@ def exact_lambda(g: Graph, params: LpqParams, n_cap: int = 12) -> int:
     sq = _oracle_square(g)
     if sq.m == g.n * (g.n - 1) // 2 and 2 * min(p, q) >= max(p, q):
         return _lambda_path_dp(g, p, q)
-    by_sqdeg = sorted(range(g.n), key=lambda v: (-sq.adj_mask[v].bit_count(), v))
     cliques = (
         (max_clique_mask(g), p),
-        (max_clique_mask(Graph(g.n, _oracle_dist2(g))), q),
+        (max_clique_mask(_oracle_dist2_graph(g)), q),
         (max_clique_mask(sq), min(p, q)),
     )
     lo = max((mask.bit_count() - 1) * sep for mask, sep in cliques)
-    hi = (_greedy_coloring_count(sq, by_sqdeg) - 1) * max(p, q)
+    hi = (_square_colouring(g)[1] - 1) * max(p, q)
     # Both bounds and some optimum are sums of at most n - 1 terms p or q
     # (see _feasible): bisect over the indices of those sums.
     vals, pwin, qwin = _label_sums(g.n, p, q)
@@ -505,8 +531,8 @@ def chi_square_exact(g: Graph, n_cap: int = 10) -> int:
     Independent of the L(1,1) oracle: colors the square graph directly
     with branch and bound between the size of a maximum clique of the
     square and a greedy upper bound.  The square is the oracles' own
-    (``_oracle_square``).  Raises CapExceededError when
-    n > n_cap.
+    (``_oracle_square``); it and both bounds are the ones memoised on
+    ``g`` for ``exact_lambda``.  Raises CapExceededError when n > n_cap.
     """
     if g.n > n_cap:
         raise CapExceededError(
@@ -515,9 +541,8 @@ def chi_square_exact(g: Graph, n_cap: int = 10) -> int:
     if g.n == 0:
         return 0
     sq = _oracle_square(g)
-    order = sorted(range(sq.n), key=lambda v: -sq.adj_mask[v].bit_count())
+    order, ub = _square_colouring(g)
     lb = max_clique_mask(sq).bit_count()
-    ub = _greedy_coloring_count(sq, order)
     for k in range(lb, ub):
         if _k_colorable(sq, k, order):
             return k

@@ -376,21 +376,47 @@ def _unwritable_argv(tmp_path, command):
         lab = tmp_path / "lab.json"
         assert main(["label", "--in", inst, "--p", "2", "--q", "1", "--out", str(lab)]) == 0
         return ["check", "--in", inst, "--labeling", str(lab), "--out", missing]
+    if command == "claims":
+        return ["claims", "--class", "interval", "--n", "6", "--seed", "3",
+                "--count", "2", "--out", missing]
     return ["bench", "--class", "interval", "--n", "6", "--seed", "3", "--count", "2",
             "--pq", "2,1", "--out", missing]
 
 
+def _no_instance_may_run(task):
+    raise AssertionError("an instance ran before the output path was checked")
+
+
 @pytest.mark.parametrize(
-    "command", ["gen", "label --out", "label --report", "check", "bench"]
+    "command", ["gen", "label --out", "label --report", "check", "bench", "claims"]
 )
-def test_unwritable_output_exits_2(tmp_path, capsys, command):
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, command):
+    """Every unwritable output path exits 2 with one error line; bench and
+    claims find out before their first instance."""
     argv = _unwritable_argv(tmp_path, command)
+    monkeypatch.setattr(cli, "_bench_instance", _no_instance_may_run)
+    monkeypatch.setattr(cli, "_claims_instance", _no_instance_may_run)
     capsys.readouterr()
     assert main(argv) == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot write "), lines
     assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("command", ["bench", "claims"])
+def test_output_check_leaves_the_path_as_it_was(tmp_path, capsys, command):
+    """The up-front check neither truncates an existing file nor leaves a
+    new one behind when the sweep then fails."""
+    kept = tmp_path / "kept.json"
+    kept.write_text("keep")
+    fresh = tmp_path / "fresh.json"
+    for path in (kept, fresh):
+        argv = ["--class", "interval", "--n", "0", "--seed", "3", "--out", str(path)]
+        assert main([command, *argv]) == 2
+    assert kept.read_text() == "keep"
+    assert not fresh.exists()
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import hashlib
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
@@ -42,6 +43,7 @@ from intervallabel import (
     split_circular,
     validate,
 )
+from intervallabel import labeling
 from intervallabel.graph import iter_bits
 from intervallabel.labeling import Labeling
 from intervallabel.verify import circular_construction_bound
@@ -271,6 +273,77 @@ def test_multiples_labelers_match_reference_across_blocks(data):
         assert label_interval(rep, params) == _reference_label_interval(rep, params)
     else:
         assert label_circular_arc(rep, params) == _reference_label_circular_arc(rep, params)
+
+
+# (p, q) points whose m = max(p, q) runs over 1, 2, 3, 7 and 10**6
+_SCALING_POINTS = (
+    (1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2), (2, 3),
+    (7, 7), (7, 3), (1, 7), (10**6, 1), (1, 10**6), (10**6, 10**6),
+)
+
+
+def _first_fit_at_m(rep, params):
+    """The labeling of the interval or arc labeler, rebuilt from an
+    unmemoised ``greedy_lpq`` at L(m, m) over the labeler's own order,
+    plus, for arcs, the cut clique stacked above it at steps of p."""
+    g = derive_graph(rep)
+    m = params.max_sep
+    if rep.kind == "interval":
+        order = rightpoint_order_desc(rep)
+        labels = greedy_lpq(g, order, LpqParams(m, m)).labels
+        return Labeling(labels, params.p, params.q, "interval-multiples", tuple(order))
+    split = split_circular(rep)
+    ordering = label_circular_arc(rep, params).ordering
+    line, clique = ordering[: len(split.line_ids)], ordering[len(split.line_ids) :]
+    assert sorted(clique) == sorted(split.clique_ids)
+    # first-fit labels vertices in order, so the clique vertices after
+    # the line part cannot change the line part's labels
+    labels = list(greedy_lpq(g, ordering, LpqParams(m, m)).labels)
+    base = max((labels[v] for v in line), default=-m) + m
+    for i, v in enumerate(clique):
+        labels[v] = base + i * params.p
+    return Labeling(tuple(labels), params.p, params.q, "arc-split", ordering)
+
+
+@pytest.mark.parametrize("kind", ["interval", "circular_arc"])
+def test_scaled_unit_labels_equal_first_fit_at_m(kind):
+    """The labels scaled from the memoised (1, 1) run equal a fresh
+    first-fit at L(m, m), whichever point a representation is labeled at
+    first: the points are asked for forwards on one copy and in reverse
+    on another."""
+    for n, seed in ((5, 0), (40, 1), (180, 2), (500, 3)):
+        for density in (None, 0.05):
+            forwards = gen_instance(kind, n, seed, density=density)
+            backwards = gen_instance(kind, n, seed, density=density)
+            want = {pq: _first_fit_at_m(forwards, LpqParams(*pq)) for pq in _SCALING_POINTS}
+            for rep, points in ((forwards, _SCALING_POINTS), (backwards, _SCALING_POINTS[::-1])):
+                for pq in points:
+                    assert label_instance(rep, LpqParams(*pq)) == want[pq], (n, density, pq)
+
+
+def test_graph_only_labeling_work_runs_once_per_instance(monkeypatch):
+    """Across the six grid points the interval and arc labelers run
+    first-fit once per representation, and the rightpoint labelers
+    build their deferred order once."""
+    calls = Counter()
+    for name in ("_first_fit", "defer_degree_one"):
+        build = getattr(labeling, name)
+
+        def counted(*args, _name=name, _build=build):
+            calls[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(labeling, name, counted)
+    grid = ((1, 1), (2, 1), (3, 1), (3, 2), (1, 2), (2, 3))
+    for kind in REP_KINDS:
+        calls.clear()
+        rep = gen_instance(kind, 40, 5)
+        for pq in grid:
+            label_instance(rep, LpqParams(*pq))
+        if kind in ("interval", "circular_arc"):
+            assert calls == {"_first_fit": 1}, kind
+        else:
+            assert calls == {"_first_fit": len(grid), "defer_degree_one": 1}, kind
 
 
 def test_greedy_memory_is_a_small_factor_of_the_holder_masks():

@@ -23,8 +23,10 @@ from intervallabel import (
     RepError,
     arc_clique_number,
     bound_report,
+    chi_square_exact,
     clique_number_exact,
     derive_graph,
+    exact_lambda,
     find_2k2,
     gen_instance,
     is_2k2_free,
@@ -36,7 +38,7 @@ from intervallabel import (
     split_circular,
     validate,
 )
-from intervallabel import graph, reps
+from intervallabel import graph, reps, verify
 from intervallabel.reps import REP_CLASSES, REP_KINDS
 
 # ---------------------------------------------------------------------------
@@ -592,6 +594,10 @@ def test_equal_reps_keep_their_own_memos():
 
 
 def test_memos_are_freed_with_the_rep():
+    """Every memo lives on its representation or graph and goes with it:
+    the labelers' and the bound report's on a 40-arc instance, and the
+    oracles' square, distance-2 graph and bounds after exact lambda and
+    chi(G^2) on a small instance of each class."""
     rep = gen_instance("circular_arc", 40, 5)
     ref = weakref.ref(rep)
     derive_graph(rep)
@@ -600,6 +606,18 @@ def test_memos_are_freed_with_the_rep():
     del rep
     gc.collect()
     assert ref() is None
+    for kind in REP_KINDS:
+        rep = gen_instance(kind, 9, 2)
+        g = derive_graph(rep)
+        for params in (LpqParams(2, 1), LpqParams(1, 1)):
+            label_instance(rep, params)
+            exact_lambda(g, params)
+        chi_square_exact(g)
+        memos = (verify._oracle_square(g), verify._oracle_dist2_graph(g))
+        refs = [weakref.ref(obj) for obj in (rep, g, *memos)]
+        del rep, g, memos
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 4, kind
 
 
 def test_bound_report_builds_invariants_once_per_instance(monkeypatch):

@@ -516,6 +516,47 @@ def test_exact_lambda_pins_at_the_ceiling(edges, pins):
         assert exact_lambda(g, LpqParams(p, q), n_cap=14) == want
 
 
+_GRID = ((1, 1), (2, 1), (3, 1), (3, 2), (1, 2), (2, 3))
+
+
+def _oracle_corpus():
+    """Instances of the acceptance gate's oracle criteria, five classes
+    each: its size map over n 4-12 (criterion 6), less the few seconds'
+    worth of searches at n 11 and 12, and its corpus over n 3-10
+    (criterion 7)."""
+    for kind in REP_KINDS:
+        for seed in range(16):
+            n = 4 + (seed * 7919 + 13) % 9
+            if n <= 10:
+                yield gen_instance(kind, n, seed)
+    for seed in range(40):
+        yield gen_instance(REP_KINDS[seed % 5], 3 + (seed * 31 + 7) % 8, seed)
+
+
+def _oracle_answers(g, calls):
+    """Each call in order on ``g``: a (p, q) point asks exact lambda
+    there, None asks chi(G^2)."""
+    return {
+        pq: chi_square_exact(g, n_cap=12) if pq is None else exact_lambda(g, LpqParams(*pq))
+        for pq in calls
+    }
+
+
+def test_oracles_sharing_graph_bounds_answer_as_on_fresh_graphs():
+    """Exact lambda at the six grid points and chi(G^2), all asked of one
+    graph, forwards and in reverse, equal the same calls each made on a
+    fresh graph, whose memoised bounds are built anew."""
+    calls = _GRID + (None,)
+    for rep in _oracle_corpus():
+        g = derive_graph(rep)
+        fresh = {}
+        for pq in calls:
+            fresh.update(_oracle_answers(graph.Graph(g.n, g.adj_mask), [pq]))
+        assert _oracle_answers(g, calls) == fresh, rep
+        backwards = graph.Graph(g.n, g.adj_mask)
+        assert _oracle_answers(backwards, calls[::-1]) == fresh, rep
+
+
 def test_oracles_survive_a_broken_distance2_kernel(monkeypatch):
     """The oracles compute their own distance-2 pairs: with the labelers'
     kernel dropping one distance-2 pair, they still match brute force.
@@ -746,7 +787,8 @@ def test_every_module_reads_what_it_imports():
 
 _ORACLE_FUNCTIONS = (
     "exact_lambda", "_feasible", "_lambda_dp", "_lambda_path_dp", "chi_square_exact",
-    "_oracle_dist2", "_common_neighbour_dist2", "_oracle_square",
+    "_oracle_dist2", "_common_neighbour_dist2", "_oracle_square", "_build_oracle_square",
+    "_oracle_dist2_graph", "_square_colouring", "_build_square_colouring",
 )
 
 
