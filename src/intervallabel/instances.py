@@ -128,7 +128,8 @@ def gen_instance(
             while e == s:
                 e = rng.randrange(circ)
         else:
-            e = (s + rng.randint(1, max(1, int(density * circ)))) % circ
+            # at most circ - 1, so e != s even at density 1
+            e = (s + rng.randint(1, max(1, min(int(density * circ), circ - 1)))) % circ
         arcs.append((s, e))
     return CircularArcRep(tuple(arcs), circ)
 

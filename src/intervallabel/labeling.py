@@ -139,18 +139,23 @@ def _first_fit(g: Graph, order: Iterable[int], p: int, q: int, labels: list[int]
     sorted labels are cut into blocks of consecutive labels, split in
     halves at ``2 * _BLOCK``.  With r = min(p, q) and R = max(p, q), a
     block also keeps the union of its holders and how many gaps between
-    its neighbouring labels are wide, 2r or more.  One pointer walks the
-    blocks in label order and stops at the first label f with
-    f - R >= j.  A block whose union misses v's ball N(v) | D2(v) is
-    skipped.  A block whose union lies inside the ball and which has no
-    wide gap forbids one contiguous run (f0 - r, last + r); once
-    f0 - r < j, j rises to at least last + r in one step, and only
-    labels within R - r of the last one can reach further (f + R), so
-    they are re-walked one by one.  Any other block is walked label by
-    label.  A window of radius r that starts at or above j when its
-    label is reached is dropped: j grows after that only at a larger
-    label, to at least that label plus r, beyond the dropped window's
-    end.  Nothing here grows with p or q.
+    its neighbouring labels are wide, 2r or more.  No gap between
+    neighbouring labels reaches 2R, or even exceeds R: every label
+    j > 0 is the end f + r or f + R of a window of a label f < j.  One
+    pointer walks the blocks in label order and stops at the first
+    label f with f - R >= j.  A block whose union misses v's ball
+    N(v) | D2(v) is skipped.  A block whose union lies inside the
+    radius-R part of the ball forbids one contiguous run
+    (f0 - R, last + R), and since the pointer reached it, f0 - R < j:
+    j rises to at least last + R in one step.  A block whose union lies
+    inside the ball and which has no wide gap forbids one contiguous run
+    (f0 - r, last + r); once f0 - r < j, j rises to at least last + r in
+    one step, and only labels within R - r of the last one can reach
+    further (f + R), so they are re-walked one by one.  Any other block
+    is walked label by label.  A window of radius r that starts at or
+    above j when its label is reached is dropped: j grows after that
+    only at a larger label, to at least that label plus r, beyond the
+    dropped window's end.  Nothing here grows with p or q.
     """
     adj = g.adj_mask
     d2 = g.dist2_masks()
@@ -177,11 +182,16 @@ def _first_fit(g: Graph, order: Iterable[int], p: int, q: int, labels: list[int]
             seen = union & ball
             if not seen:
                 continue
-            if not wide and seen == union and labs[0] - lo < j:
+            if seen == union:
                 last = labs[-1]
-                if last + lo > j:
-                    j = last + lo
-                if reach:
+                if not union & small:
+                    if last + hi > j:
+                        j = last + hi
+                    continue
+                # here some holder is in small, so p != q and reach > 0
+                if not wide and labs[0] - lo < j:
+                    if last + lo > j:
+                        j = last + lo
                     for f in reversed(labs):
                         if f + reach <= last:
                             break
@@ -189,7 +199,7 @@ def _first_fit(g: Graph, order: Iterable[int], p: int, q: int, labels: list[int]
                             if f + hi > j:
                                 j = f + hi
                             break
-                continue
+                    continue
             for f in labs:
                 if f - hi >= j:
                     break

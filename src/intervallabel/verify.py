@@ -2,9 +2,9 @@
 structural-claim checks.
 
 Everything here is deliberately independent of the greedy labelers: the
-validator reads only the adjacency masks and looks up, per vertex, the
-vertices whose labels lie close to its own (label windows over the
-sorted labels), so it never touches the distance-2 masks the labelers
+validator reads only the adjacency masks and meets each pair of
+vertices whose labels lie close together once, in one sweep over the
+sorted labels, so it never touches the distance-2 masks the labelers
 share; the exact oracles search label space directly on their own
 distance-2 masks (``_oracle_dist2``), and the clique/coloring routines
 use separate branch-and-bound code paths.  That way a bug in a labeler
@@ -38,7 +38,6 @@ from .reps import (
     IntervalOrderRep,
     IntervalRep,
     Representation,
-    _below,
     arc_clique_number,
     derive_graph,
     minimal_elements,
@@ -84,10 +83,15 @@ def validate(
     Violations come by u, then the edge clauses in ascending v, then the
     q clause of the non-edge (L2: every) pairs in ascending v, always
     with u < v.  Only the pairs whose labels differ by less than p or q
-    are ever looked at: per vertex, two label windows are cut from prefix
-    masks over the sorted labels, so the cost grows with the number of
-    label-close pairs, not with n squared or with the label values (an
-    all-equal labeling still costs O(n^2) mask operations).
+    are ever looked at: one sweep takes the vertices in label order and
+    keeps two masks of the earlier ones whose labels lie within p - 1
+    and within q - 1 below the current label, dropping leavers through a
+    tail pointer (a separation below 1 leaves its mask empty).  Each
+    label-close pair is met once, at its later end, so the cost grows
+    with the number of label-close pairs, not with n squared or with the
+    label values (an all-equal labeling still costs O(n^2) mask
+    operations).  The violations found are sorted into the order above
+    once, at the end.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -97,40 +101,48 @@ def validate(
     q = params.q if params is not None else lab.q
     labels = lab.labels
     adj = g.adj_mask
-    vals, masks = _below(labels)
-
-    def windows(sep: int) -> list[int]:
-        # per vertex, the vertices whose label lies within sep - 1 of its own
-        if sep < 1:
-            return [0] * g.n
-        return [
-            masks[bisect_right(vals, f + sep - 1)] ^ masks[bisect_left(vals, f - sep + 1)]
-            for f in labels
-        ]
-
-    win_p = windows(p)
-    win_q = win_p if q == p else windows(q)
-    q_kind = "common-neighbor" if variant == "L2" else "distance2"
-    out: list[Violation] = []
-    for u in range(g.n):
-        fu = labels[u]
-        later = ~((2 << u) - 1)
-        wp = win_p[u] & later
-        wq = win_q[u] & later
-        near = adj[u] & (wp | wq if variant == "L3" else wp)
+    l2, l3 = variant == "L2", variant == "L3"
+    q_kind = "common-neighbor" if l2 else "distance2"
+    order = sorted(range(g.n), key=labels.__getitem__)
+    vals = [labels[v] for v in order]
+    # (smaller id, clause, larger id, kind, gap): clause 0 is the edge
+    # clauses, clause 1 the q clause of the non-edge (L2: every) pairs
+    found: list[tuple[int, int, int, str, int]] = []
+    wp = wq = tail_p = tail_q = 0
+    for i, v in enumerate(order):
+        f = vals[i]
+        if p >= 1:
+            while vals[tail_p] <= f - p:
+                wp ^= 1 << order[tail_p]
+                tail_p += 1
+        if q >= 1:
+            while vals[tail_q] <= f - q:
+                wq ^= 1 << order[tail_q]
+                tail_q += 1
+        av = adj[v]
+        near = av & (wp | wq if l3 else wp)
         if near:
-            for v in iter_bits(near):
-                gap = abs(fu - labels[v])
-                if wp >> v & 1:
-                    out.append(Violation("adjacent", u, v, p, gap))
-                if variant == "L3" and wq >> v & 1:
-                    out.append(Violation("distance2", u, v, q, gap))
-        far = wq if variant == "L2" else wq & ~adj[u]
+            for u in iter_bits(near):
+                a, b = (u, v) if u < v else (v, u)
+                if wp >> u & 1:
+                    found.append((a, 0, b, "adjacent", f - labels[u]))
+                if l3 and wq >> u & 1:
+                    found.append((a, 0, b, "distance2", f - labels[u]))
+        far = wq if l2 else wq & ~av
         if far:
-            for v in iter_bits(far):
-                if adj[u] & adj[v]:
-                    out.append(Violation(q_kind, u, v, q, abs(fu - labels[v])))
-    return out
+            for u in iter_bits(far):
+                if adj[u] & av:
+                    a, b = (u, v) if u < v else (v, u)
+                    found.append((a, 1, b, q_kind, f - labels[u]))
+        bit = 1 << v
+        if p >= 1:
+            wp |= bit
+        if q >= 1:
+            wq |= bit
+    return [
+        Violation(kind, u, v, p if kind == "adjacent" else q, gap)
+        for u, _, v, kind, gap in sorted(found)
+    ]
 
 
 class _BudgetExceeded(Exception):

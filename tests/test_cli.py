@@ -193,6 +193,13 @@ def test_plain_decimal_densities_are_accepted(tmp_path, text, density):
     )
 
 
+def test_gen_arcs_at_density_one(tmp_path):
+    out = tmp_path / "d"
+    assert main(["gen", "--class", "circular_arc", "--n", "1", "--seed", "0",
+                 "--density", "1", "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["circular_arc-0-0.json"]
+
+
 def test_gen_containment_range_too_small(tmp_path, capsys):
     rc = main(
         ["gen", "--class", "containment", "--n", "50", "--seed", "0",

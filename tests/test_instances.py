@@ -60,6 +60,24 @@ def test_gen_arcs_fit_circumference():
             assert 0 <= s < 32 and 0 <= e < 32
 
 
+def test_gen_arcs_at_density_one():
+    """Density 1 lets an arc be as long as the circle allows, circ - 1;
+    a draw of the whole circle once made s == e and raised."""
+    for n in range(1, 40):
+        for seed in range(100):
+            rep = gen_instance("circular_arc", n, seed, density=1.0)
+            assert all(s != e for s, e in rep.arcs), (n, seed)
+
+
+def test_gen_arcs_below_density_one_are_pinned():
+    """Below density 1 the length draw is the one it always was."""
+    assert serialize_instance(gen_instance("circular_arc", 6, 1, density=0.3)) == (
+        b'{"class":"circular_arc","circumference":24,"vertices":['
+        b'{"id":0,"s":4,"e":9},{"id":1,"s":2,"e":5},{"id":2,"s":3,"e":7},'
+        b'{"id":3,"s":14,"e":18},{"id":4,"s":20,"e":0},{"id":5,"s":6,"e":7}]}\n'
+    )
+
+
 def test_serialize_is_single_line():
     raw = serialize_instance(gen_instance("interval_k", 5, 1))
     assert raw.endswith(b"\n")

@@ -275,6 +275,57 @@ def test_multiples_labelers_match_reference_across_blocks(data):
         assert label_circular_arc(rep, params) == _reference_label_circular_arc(rep, params)
 
 
+def _radius_max_graph(data, n):
+    """A graph and order in which whole blocks of placed labels have
+    every holder in the radius-max(p, q) part of a vertex's ball: a
+    clique (every holder adjacent, radius p when p > q), a star labeled
+    leaves first (every holder at distance 2, radius q when q > p),
+    either with a few edges dropped, and short-interval interval orders
+    in their rightpoint order with degree-one vertices deferred."""
+    source = data.draw(st.sampled_from(("clique", "star", "interval_order")))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    if source == "interval_order":
+        rep = gen_instance("interval_order", n, rng.randrange(10**6), density=0.02)
+        g = derive_graph(rep)
+        return g, defer_degree_one(g, rightpoint_order_desc(rep))
+    if source == "clique":
+        edges = list(combinations(range(n), 2))
+        order = data.draw(st.permutations(range(n)))
+    else:
+        hub = rng.randrange(n)
+        edges = [tuple(sorted((hub, v))) for v in range(n) if v != hub]
+        order = [v for v in range(n) if v != hub] + [hub]
+    for _ in range(data.draw(st.integers(0, 3))):
+        if len(edges) > 1:
+            edges.pop(rng.randrange(len(edges)))
+    return build_graph(n, edges), order
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_greedy_lpq_matches_reference_crossing_at_radius_max(data):
+    """Graphs where blocks are crossed at radius max(p, q) in one step,
+    with gaps of 2 min(p, q) or more between their labels, at n 2-200,
+    so they also fill and split blocks; p != q in 1-6 or 2**62."""
+    n = data.draw(st.integers(2, 200))
+    g, order = _radius_max_graph(data, n)
+    p, q = data.draw(
+        st.tuples(st.one_of(st.integers(1, 6), st.just(2**62)), st.integers(1, 6)).filter(
+            lambda pq: pq[0] != pq[1]
+        )
+    )
+    if data.draw(st.booleans()):
+        p, q = q, p
+    params = LpqParams(p, q)
+    lab = greedy_lpq(g, order, params)
+    assert lab == _reference_greedy_lpq(g, order, params)
+    # why a block crossed at radius max(p, q) needs no gap count: no two
+    # neighbouring labels lie max(p, q) + 1 or more apart
+    placed = sorted(set(lab.labels))
+    assert placed[0] == 0
+    assert all(b - a <= max(p, q) for a, b in zip(placed, placed[1:]))
+
+
 # (p, q) points whose m = max(p, q) runs over 1, 2, 3, 7 and 10**6
 _SCALING_POINTS = (
     (1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2), (2, 3),

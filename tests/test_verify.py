@@ -3,13 +3,15 @@ reports and structural-claim checks.
 
 The brute-force reference oracles in this file share no code with the
 package's search: distances come from BFS and feasibility from a plain
-recursive enumeration.  The reference validator is the plain loop over
-vertex pairs that the label-window validator replaced.
+recursive enumeration.  The reference validators are the plain loop over
+vertex pairs that the label-window validator replaced, and that
+label-window validator, which the sweep over the sorted labels replaced.
 """
 
 import ast
 import random
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import combinations
 from pathlib import Path
@@ -42,7 +44,7 @@ from intervallabel import (
 )
 from intervallabel import graph, labeling, verify
 from intervallabel.graph import iter_bits
-from intervallabel.reps import REP_KINDS
+from intervallabel.reps import REP_KINDS, _below
 from intervallabel.verify import _lambda_dp, _lambda_path_dp
 
 P21 = LpqParams(2, 1)
@@ -138,28 +140,65 @@ def _reference_validate(g, lab, params=None, variant="L1"):
     return out
 
 
+def _label_window_validate(g, lab, params=None, variant="L1"):
+    """The validator's former body: per vertex u, the later vertices whose
+    labels lie within p - 1 and q - 1 of u's, cut from prefix masks over
+    the sorted labels, are tested in u's order of report."""
+    p = params.p if params is not None else lab.p
+    q = params.q if params is not None else lab.q
+    labels = lab.labels
+    adj = g.adj_mask
+    vals, masks = _below(labels)
+
+    def windows(sep):
+        if sep < 1:
+            return [0] * g.n
+        return [
+            masks[bisect_right(vals, f + sep - 1)] ^ masks[bisect_left(vals, f - sep + 1)]
+            for f in labels
+        ]
+
+    win_p = windows(p)
+    win_q = win_p if q == p else windows(q)
+    q_kind = "common-neighbor" if variant == "L2" else "distance2"
+    out = []
+    for u in range(g.n):
+        fu = labels[u]
+        later = ~((2 << u) - 1)
+        wp = win_p[u] & later
+        wq = win_q[u] & later
+        near = adj[u] & (wp | wq if variant == "L3" else wp)
+        for v in iter_bits(near):
+            gap = abs(fu - labels[v])
+            if wp >> v & 1:
+                out.append(Violation("adjacent", u, v, p, gap))
+            if variant == "L3" and wq >> v & 1:
+                out.append(Violation("distance2", u, v, q, gap))
+        far = wq if variant == "L2" else wq & ~adj[u]
+        for v in iter_bits(far):
+            if adj[u] & adj[v]:
+                out.append(Violation(q_kind, u, v, q, abs(fu - labels[v])))
+    return out
+
+
 _SEP = st.one_of(st.integers(1, 5), st.just(2**62))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.data())
-def test_validate_matches_pairwise_reference(data):
-    """Full violation lists, order included: all five classes and random
-    graphs at n 0-40, L1/L2/L3, with and without a ``params`` override,
-    greedy labelings with planted faults (swapped, equalised and +-1
-    labels) or labels drawn from a narrow range, shifted to negative
-    values or near 2**62."""
+def _validate_case(data, lo, hi):
+    """A graph on lo-hi vertices (at least 1 for a generated instance)
+    and a labeling of it with planted faults, its own p and q, an
+    optional ``params`` override and a variant."""
     source = data.draw(st.sampled_from(REP_KINDS + ("random",)))
     seed = data.draw(st.integers(0, 10**6))
     own = LpqParams(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)))
     if source == "random":
-        n = data.draw(st.integers(0, 40))
+        n = data.draw(st.integers(lo, hi))
         rng = random.Random(seed)
         density = rng.random()
         g = build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
         labels = list(greedy_lpq(g, range(n), own).labels)
     else:
-        n = data.draw(st.integers(1, 40))
+        n = data.draw(st.integers(max(lo, 1), hi))
         density = data.draw(st.sampled_from((None, 0.1, 0.3)))
         rep = gen_instance(source, n, seed, density=density)
         g = derive_graph(rep)
@@ -178,10 +217,67 @@ def test_validate_matches_pairwise_reference(data):
         else:
             labels[a] += data.draw(st.sampled_from((-1, 1)))
     shift = data.draw(st.sampled_from((0, -100, 2**62 - 50, -(2**62))))
-    lab = Labeling(tuple(x + shift for x in labels), own.p, own.q)
+    # the labeling's own p and q, which parse_labeling admits at 0 or below
+    p, q = data.draw(
+        st.one_of(st.just((own.p, own.q)), st.tuples(st.integers(-3, 4), st.integers(-3, 4)))
+    )
+    lab = Labeling(tuple(x + shift for x in labels), p, q)
     params = data.draw(st.one_of(st.none(), st.builds(LpqParams, _SEP, _SEP)))
     variant = data.draw(st.sampled_from(("L1", "L2", "L3")))
-    assert validate(g, lab, params, variant) == _reference_validate(g, lab, params, variant)
+    return g, lab, params, variant
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_validate_matches_pairwise_reference(data):
+    """Full violation lists, order included: all five classes and random
+    graphs at n 0-40, L1/L2/L3, with and without a ``params`` override,
+    greedy labelings with planted faults (swapped, equalised and +-1
+    labels) or labels drawn from a narrow range, shifted to negative
+    values or near 2**62, under their own p and q or under p and q of
+    -3 to 4."""
+    g, lab, params, variant = _validate_case(data, 0, 40)
+    expected = _reference_validate(g, lab, params, variant)
+    assert validate(g, lab, params, variant) == expected
+    assert _label_window_validate(g, lab, params, variant) == expected
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.data())
+def test_validate_matches_pairwise_reference_at_n_100_150(data):
+    """The same cases at n 100-150, where the masks span several words."""
+    g, lab, params, variant = _validate_case(data, 100, 150)
+    expected = _reference_validate(g, lab, params, variant)
+    assert validate(g, lab, params, variant) == expected
+    assert _label_window_validate(g, lab, params, variant) == expected
+
+
+def test_validate_all_equal_labels():
+    """All labels equal make every pair label-close, the quadratic case:
+    each edge owes p, each distance-2 (L2: common-neighbour) pair q."""
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    lab = Labeling((7, 7, 7, 7), 2, 1)
+    kinds = {
+        variant: [(x.kind, x.u, x.v, x.required, x.observed) for x in validate(g, lab, None, variant)]
+        for variant in ("L1", "L2", "L3")
+    }
+    assert kinds == {
+        "L1": [("adjacent", 0, 1, 2, 0), ("distance2", 0, 2, 1, 0), ("adjacent", 1, 2, 2, 0),
+               ("distance2", 1, 3, 1, 0), ("adjacent", 2, 3, 2, 0)],
+        "L2": [("adjacent", 0, 1, 2, 0), ("common-neighbor", 0, 2, 1, 0), ("adjacent", 1, 2, 2, 0),
+               ("common-neighbor", 1, 3, 1, 0), ("adjacent", 2, 3, 2, 0)],
+        "L3": [("adjacent", 0, 1, 2, 0), ("distance2", 0, 1, 1, 0), ("distance2", 0, 2, 1, 0),
+               ("adjacent", 1, 2, 2, 0), ("distance2", 1, 2, 1, 0), ("distance2", 1, 3, 1, 0),
+               ("adjacent", 2, 3, 2, 0), ("distance2", 2, 3, 1, 0)],
+    }
+    rng = random.Random(23)
+    g = _random_graph(rng, 120)
+    lab = Labeling((5,) * 120, 3, 2)
+    pairs = g.m + sum(d.bit_count() for d in g.dist2_masks()) // 2
+    for variant in ("L1", "L2", "L3"):
+        out = validate(g, lab, None, variant)
+        assert out == _reference_validate(g, lab, None, variant)
+    assert len(validate(g, lab)) == pairs
 
 
 def test_validate_path_pins():
@@ -792,14 +888,13 @@ _ORACLE_FUNCTIONS = (
 )
 
 
-def test_oracles_read_no_shared_distance2_kernel():
-    """No exact-oracle function names ``square`` or ``dist2_set`` or
-    reads ``dist2_masks``: the oracles keep their own distance-2 pairs
-    (``_oracle_dist2``), apart from the labelers' kernel."""
+def _distance2_kernel_reads(names):
+    """Per function of ``verify`` in ``names``, the names it reads of the
+    labelers' distance-2 kernel and of the ``square`` built on it."""
     tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    banned = {"square", "dist2_set", "dist2_masks"}
-    reads = {
+    banned = {"square", "dist2_set", "dist2_masks", "_dist2_masks", "_dist2"}
+    return {
         name: sorted(
             {
                 node.id if isinstance(node, ast.Name) else node.attr
@@ -808,9 +903,60 @@ def test_oracles_read_no_shared_distance2_kernel():
                 or isinstance(node, ast.Attribute) and node.attr in banned
             }
         )
-        for name in _ORACLE_FUNCTIONS
+        for name in names
     }
-    assert reads == {name: [] for name in _ORACLE_FUNCTIONS}
+
+
+def test_oracles_read_no_shared_distance2_kernel():
+    """No exact-oracle function names ``square`` or ``dist2_set`` or
+    reads ``dist2_masks``: the oracles keep their own distance-2 pairs
+    (``_oracle_dist2``), apart from the labelers' kernel."""
+    assert _distance2_kernel_reads(_ORACLE_FUNCTIONS) == {name: [] for name in _ORACLE_FUNCTIONS}
+
+
+def test_validator_reads_no_distance2_kernel():
+    """``validate`` reads only the adjacency rows: it names no part of
+    the labelers' distance-2 kernel."""
+    assert _distance2_kernel_reads(("validate",)) == {"validate": []}
+
+
+def test_validator_survives_a_broken_distance2_kernel(monkeypatch):
+    """With the labelers' kernel dropping one distance-2 pair, the q
+    violation planted on that pair is still the one ``validate`` reports,
+    under each variant."""
+    kernel = graph._dist2_masks
+
+    def drop_first_pair(g):
+        d2 = list(kernel(g))
+        u = next(v for v in range(g.n) if d2[v])
+        v = (d2[u] & -d2[u]).bit_length() - 1
+        d2[u] ^= 1 << v
+        d2[v] ^= 1 << u
+        return tuple(d2)
+
+    monkeypatch.setattr(graph, "_dist2_masks", drop_first_pair)
+    rng = random.Random(43)
+    cases = [
+        (3, [(0, 1), (1, 2)]),
+        (4, [(0, 1), (0, 2), (0, 3)]),
+        (5, [(i, (i + 1) % 5) for i in range(5)]),
+    ]
+    while len(cases) < 20:
+        n = rng.randint(3, 40)
+        edges = _random_edges(rng, n)
+        if any(kernel(build_graph(n, edges))):
+            cases.append((n, edges))
+    for n, edges in cases:
+        g = build_graph(n, edges)
+        d2 = kernel(g)
+        u = next(v for v in range(n) if d2[v])
+        v = (d2[u] & -d2[u]).bit_length() - 1
+        assert not g.dist2_masks()[u] >> v & 1
+        labels = [10 * x for x in range(n)]
+        labels[v] = labels[u]
+        lab = Labeling(tuple(labels), 2, 1)
+        for variant, kind in (("L1", "distance2"), ("L2", "common-neighbor"), ("L3", "distance2")):
+            assert validate(g, lab, None, variant) == [Violation(kind, u, v, 1, 0)], (edges, variant)
 
 
 # ---------------------------------------------------------------------------
