@@ -23,11 +23,12 @@ memoised on it and freed with it.
 
 The first-fit keeps each placed label once, with a mask of the vertices
 holding it, in blocks of consecutive labels that also record the union
-of their holders and how many of their gaps are too wide for the
-windows to meet.  A vertex skips a block none of whose holders is
-within distance 2 of it, crosses a block whose windows form one
-forbidden run in a single step, and walks only the other blocks label
-by label.  Neither its memory nor its steps grow with p or q.
+of their holders and, for each gap too wide for two windows of radius
+min(p, q) to meet, the holders of its two ends.  A vertex skips a block
+none of whose holders is within distance 2 of it, crosses a block whose
+windows form one forbidden run in a single step, and walks only the
+other blocks label by label.  Neither its memory nor its steps grow
+with p or q.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_, sub
+from operator import or_
 from typing import Any, Iterable, Sequence
 
 from .graph import Graph, _memo
@@ -119,8 +120,13 @@ def _check_permutation(n: int, ordering: Sequence[int]) -> list[int]:
     return order
 
 
-def _wide_gaps(labs: list[int], width: int) -> int:
-    return sum(gap >= width for gap in map(sub, labs[1:], labs))
+def _block(labs: list[int], holders: dict[int, int], width: int) -> list[Any]:
+    """A label block: its labels, the union of their holders, and for each
+    gap (a, b) between neighbouring labels with b - a >= ``width`` the
+    entry a: holders of a | holders of b."""
+    masks = list(map(holders.__getitem__, labs))
+    pairs = zip(labs, labs[1:], masks, masks[1:])
+    return [labs, reduce(or_, masks), {a: ha | hb for a, b, ha, hb in pairs if b - a >= width}]
 
 
 def _first_fit(g: Graph, order: Iterable[int], p: int, q: int, labels: list[int]) -> None:
@@ -138,34 +144,47 @@ def _first_fit(g: Graph, order: Iterable[int], p: int, q: int, labels: list[int]
     Each distinct label is kept once, with a mask of its holders.  The
     sorted labels are cut into blocks of consecutive labels, split in
     halves at ``2 * _BLOCK``.  With r = min(p, q) and R = max(p, q), a
-    block also keeps the union of its holders and how many gaps between
-    its neighbouring labels are wide, 2r or more.  No gap between
-    neighbouring labels reaches 2R, or even exceeds R: every label
-    j > 0 is the end f + r or f + R of a window of a label f < j.  One
-    pointer walks the blocks in label order and stops at the first
-    label f with f - R >= j.  A block whose union misses v's ball
-    N(v) | D2(v) is skipped.  A block whose union lies inside the
-    radius-R part of the ball forbids one contiguous run
-    (f0 - R, last + R), and since the pointer reached it, f0 - R < j:
-    j rises to at least last + R in one step.  A block whose union lies
-    inside the ball and which has no wide gap forbids one contiguous run
-    (f0 - r, last + r); once f0 - r < j, j rises to at least last + r in
-    one step, and only labels within R - r of the last one can reach
-    further (f + R), so they are re-walked one by one.  Any other block
-    is walked label by label.  A window of radius r that starts at or
-    above j when its label is reached is dropped: j grows after that
-    only at a larger label, to at least that label plus r, beyond the
-    dropped window's end.  Nothing here grows with p or q.
+    block also keeps the union of its holders and a map from the lower
+    label a of each wide gap (a, b), one with b - a >= 2r, to
+    holders[a] | holders[b].  No gap between neighbouring labels
+    reaches 2R, or even exceeds R: every label j > 0 is the end f + r
+    or f + R of a window of a label f < j.  One pointer walks the
+    blocks in label order and stops at the first label f with
+    f - R >= j.  A block whose union misses v's ball N(v) | D2(v) is
+    skipped.  A block whose union lies inside the radius-R part of the
+    ball forbids one contiguous run (f0 - R, last + R), and since the
+    pointer reached it, f0 - R < j: j rises to at least last + R in one
+    step.  A block whose union lies inside the ball also forbids one
+    contiguous run when every wide gap has an end held in the radius-R
+    part: the radius-r windows of a narrow gap's ends meet, and the
+    radius-R window of such an end of a wide gap reaches the other end,
+    as the gap is at most R.  That run starts at or below f0 - r and
+    ends at last + r or above; once f0 - r < j, j rises to at least
+    last + r in one step, and only labels within R - r of the last one
+    can reach further (f + R), so they are re-walked one by one.  Any
+    other block is walked label by label.  A window of radius r that
+    starts at or above j when its label is reached is dropped: j grows
+    after that only at a larger label, to at least that label plus r,
+    beyond the dropped window's end.
+
+    The map is kept exact: a new label drops the entry of the gap it
+    lands in and adds each of the two halves that is wide, a vertex
+    joining a label ORs its bit into the entries of the gaps that label
+    ends, and a split rebuilds both halves' maps.  Only a missing entry
+    for a wide gap would give a wrong label; a stale entry or a missing
+    holder would only make a block walked that could be crossed.
+    Nothing here grows with p or q.
     """
     adj = g.adj_mask
     d2 = g.dist2_masks()
     lo, hi = min(p, q), max(p, q)
     two_lo, reach, cap = 2 * lo, hi - lo, 2 * _BLOCK
-    # Each block is [labels, union of their holders, wide gaps].  The
-    # first vertex takes 0, so seeding label 0 with no holders changes
-    # nothing and keeps every later label at or above the first block's.
+    # Each block is [labels, union of their holders, wide-gap map], as
+    # ``_block`` builds it.  The first vertex takes 0, so seeding label 0
+    # with no holders changes nothing and keeps every later label at or
+    # above the first block's.
     holders = {0: 0}
-    blocks: list[list[Any]] = [[[0], 0, 0]]
+    blocks: list[list[Any]] = [[[0], 0, {}]]
     firsts = [0]
     for v in order:
         if p == q:
@@ -188,8 +207,10 @@ def _first_fit(g: Graph, order: Iterable[int], p: int, q: int, labels: list[int]
                     if last + hi > j:
                         j = last + hi
                     continue
-                # here some holder is in small, so p != q and reach > 0
-                if not wide and labs[0] - lo < j:
+                # here some holder is in small, so p != q and reach > 0; most
+                # such blocks have no wide gap, so test the map for emptiness
+                # before building an iterator over it
+                if labs[0] - lo < j and (not wide or all(map(big.__and__, wide.values()))):
                     if last + lo > j:
                         j = last + lo
                     for f in reversed(labs):
@@ -217,27 +238,34 @@ def _first_fit(g: Graph, order: Iterable[int], p: int, q: int, labels: list[int]
         i = bisect_right(firsts, j) - 1
         blk = blocks[i]
         blk[1] |= bit
+        wide = blk[2]
         if j in holders:
             holders[j] |= bit
+            if wide:
+                if j in wide:
+                    wide[j] |= bit
+                labs = blk[0]
+                k = bisect_left(labs, j)
+                if k and labs[k - 1] in wide:
+                    wide[labs[k - 1]] |= bit
             continue
         holders[j] = bit
         labs = blk[0]
         k = bisect_left(labs, j)
         labs.insert(k, j)
         a = labs[k - 1]
-        if k == len(labs) - 1:
-            blk[2] += j - a >= two_lo
-        else:
-            b = labs[k + 1]
-            blk[2] += (j - a >= two_lo) + (b - j >= two_lo) - (b - a >= two_lo)
+        if j - a >= two_lo:
+            wide[a] = holders[a] | bit
+        elif a in wide:
+            del wide[a]
+        if k + 1 < len(labs) and labs[k + 1] - j >= two_lo:
+            wide[j] = bit | holders[labs[k + 1]]
         if len(labs) == cap:
-            rest = labs[_BLOCK:]
-            del labs[_BLOCK:]
-            blk[1] = reduce(or_, map(holders.__getitem__, labs))
-            blk[2] = _wide_gaps(labs, two_lo)
-            union = reduce(or_, map(holders.__getitem__, rest))
-            blocks.insert(i + 1, [rest, union, _wide_gaps(rest, two_lo)])
-            firsts.insert(i + 1, rest[0])
+            blocks[i : i + 1] = (
+                _block(labs[:_BLOCK], holders, two_lo),
+                _block(labs[_BLOCK:], holders, two_lo),
+            )
+            firsts.insert(i + 1, labs[_BLOCK])
 
 
 def greedy_lpq(g: Graph, ordering: Sequence[int], params: LpqParams) -> Labeling:

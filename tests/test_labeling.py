@@ -326,6 +326,49 @@ def test_greedy_lpq_matches_reference_crossing_at_radius_max(data):
     assert all(b - a <= max(p, q) for a, b in zip(placed, placed[1:]))
 
 
+# p != q, with points where max(p, q) >= 2 min(p, q) + 1, so a label
+# inserted into a gap can leave a wide gap above it; (3, 2) has no wide
+# gap at all, as no gap exceeds max(p, q) = 3 < 2 min(p, q)
+_DEFERRED_POINTS = (
+    (2, 1), (1, 2), (3, 1), (1, 3), (5, 2), (2, 5), (3, 2), (2**62, 1), (1, 2**62),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_greedy_lpq_matches_reference_under_deferred_orders(data):
+    """Dense interval_k, containment and interval_order instances at
+    n 60-300 in the labelers' own rightpoint orders with degree-one
+    vertices deferred.  Those orders place labels apart and fill the gaps
+    late, so blocks whose wide gaps each have a radius-max(p, q) holder
+    at an end are crossed in one step far more often than under random
+    orders."""
+    kind = data.draw(st.sampled_from(("interval_k", "containment", "interval_order")))
+    n = data.draw(st.integers(60, 300))
+    rep = gen_instance(kind, n, data.draw(st.integers(0, 10**6)))
+    g = derive_graph(rep)
+    order = defer_degree_one(g, rightpoint_order_desc(rep))
+    params = LpqParams(*data.draw(st.sampled_from(_DEFERRED_POINTS)))
+    lab = greedy_lpq(g, order, params)
+    assert lab == _reference_greedy_lpq(g, order, params)
+    assert label_instance(rep, params).labels == lab.labels
+
+
+@pytest.mark.parametrize("leaves", [2, 5, 40, 200])
+def test_block_with_wide_gaps_and_no_radius_max_holder_is_walked(leaves):
+    """At (1, 3) the leaves of a star, labeled first, are pairwise at
+    distance 2 and take 0, 3, 6, ...: every gap is wide.  The hub has no
+    vertex at distance 2, so no holder of those labels is in the
+    radius-3 part of its ball, and its block must be walked, not crossed
+    to the last label plus 1: the hub takes 1."""
+    n = leaves + 1
+    g = build_graph(n, [(0, v) for v in range(1, n)])
+    order = list(range(1, n)) + [0]
+    lab = greedy_lpq(g, order, LpqParams(1, 3))
+    assert lab.labels == (1,) + tuple(range(0, 3 * leaves, 3))
+    assert lab == _reference_greedy_lpq(g, order, LpqParams(1, 3))
+
+
 # (p, q) points whose m = max(p, q) runs over 1, 2, 3, 7 and 10**6
 _SCALING_POINTS = (
     (1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2), (2, 3),
@@ -398,22 +441,27 @@ def test_graph_only_labeling_work_runs_once_per_instance(monkeypatch):
 
 
 def test_greedy_memory_is_a_small_factor_of_the_holder_masks():
-    """The label blocks' holder unions and wide-gap counts add little to
+    """The label blocks' holder unions and wide-gap maps add little to
     the one holder mask per distinct label: the peak is 2.1x those masks
-    (1.9x with no blocks) on this dense n-1000 instance."""
-    g = derive_graph(gen_instance("interval_order", 1000, 1))
-    g.dist2_masks()
-    tracemalloc.start()
-    try:
-        lab = greedy_lpq(g, range(g.n), P21)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    holders: dict[int, int] = {}
-    for v, f in enumerate(lab.labels):
-        holders[f] = holders.get(f, 0) | 1 << v
-    assert len(holders) > 900
-    assert peak < 3 * sum(map(sys.getsizeof, holders.values()))
+    (1.9x with no blocks) on a dense n-1000 interval order in vertex
+    order, and 2.2x on a dense n-1000 interval_k instance in its
+    deferred rightpoint order, where the maps hold the most entries."""
+    for kind, deferred in (("interval_order", False), ("interval_k", True)):
+        rep = gen_instance(kind, 1000, 1)
+        g = derive_graph(rep)
+        g.dist2_masks()
+        order = defer_degree_one(g, rightpoint_order_desc(rep)) if deferred else range(g.n)
+        tracemalloc.start()
+        try:
+            lab = greedy_lpq(g, order, P21)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        holders: dict[int, int] = {}
+        for v, f in enumerate(lab.labels):
+            holders[f] = holders.get(f, 0) | 1 << v
+        assert len(holders) > 900
+        assert peak < 3 * sum(map(sys.getsizeof, holders.values())), kind
 
 
 def test_greedy_memory_does_not_grow_with_p():
@@ -445,6 +493,9 @@ _LABEL_DIGESTS = {
     ("interval_k", 400, 2, 1): "19a398c51d8aa5a6aaca67ae416a7df99886f3829380606a970436b85d70bc33",
     ("interval_k", 400, 1, 2): "73169700973cf564b712618650b048c910795af92fb8461c01a0fd60ba27e245",
     ("interval_k", 400, 3, 2): "627e80c12e682445741c8f7cef1662a057c790b44be715e2df31682850e6411d",
+    ("interval_k", 1000, 2, 1): "8fda2190b837ebfd0247c3c847a71f55036d4b0c28abeaffc6b05a06977072a9",
+    ("interval_k", 1000, 1, 2): "729f801535cd54c9c4bcd6ef1d324a41723c0e0193efa136016806b9a7306ead",
+    ("interval_k", 1000, 3, 1): "a08086419d7b94dee05d10a69f759e29971a971d35f648d5f77e516c289122a7",
     ("circular_arc", 40, 2, 1): "7f3f13a5a7880a63633e82c1ddc488ba028477c200aa0d30abacb070568ff1e6",
     ("circular_arc", 40, 1, 2): "6be4beece494bc41875e35240429228f6d2657c80adb59e34b057e720a614001",
     ("circular_arc", 40, 3, 2): "76446474fba659c38a9056cda4ce712aaac6d77c228899e2014c6b0f61160fd5",
