@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 import tracemalloc
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -16,17 +17,29 @@ from intervallabel import (
     clique_number_exact,
     compute_stats,
     derive_graph,
-    dist2_set,
     find_2k2,
     gen_instance,
-    is_2k2_free,
     is_connected,
-    square,
 )
+from intervallabel import graph
 from intervallabel.graph import Graph, iter_bits, max_clique_mask
 from intervallabel.reps import REP_KINDS
 
 THREE_CLASS_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)]
+
+
+def _dist2_set(g, v):
+    """Vertices at distance exactly 2 from ``v``, from the memoised masks."""
+    return set(iter_bits(g.dist2_masks()[v]))
+
+
+def _square(g):
+    """The graph on the same vertices joining every pair at distance <= 2."""
+    return Graph(g.n, [a | d for a, d in zip(g.adj_mask, g.dist2_masks())])
+
+
+def _is_2k2_free(g):
+    return find_2k2(g) is None
 
 
 def _neighbor_sets(n, edges):
@@ -75,44 +88,50 @@ def test_build_graph_eight_edge_instance():
 
 def test_dist2_path():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert dist2_set(g, 0) == {2}
-    assert dist2_set(g, 1) == {3}
+    assert _dist2_set(g, 0) == {2}
+    assert _dist2_set(g, 1) == {3}
 
 
 def test_dist2_triangle_empty():
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     for v in range(3):
-        assert dist2_set(g, v) == set()
+        assert _dist2_set(g, v) == set()
 
 
 def test_dist2_eight_edge_instance():
     g = build_graph(5, THREE_CLASS_EDGES)
-    assert dist2_set(g, 3) == {4}
-    assert dist2_set(g, 1) == {2}
+    assert _dist2_set(g, 3) == {4}
+    assert _dist2_set(g, 1) == {2}
 
 
-def test_dist2_rejects_bad_vertex():
-    g = build_graph(2, [(0, 1)])
-    with pytest.raises(GraphError):
-        dist2_set(g, 2)
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _members(mask, n):
+    """The set bits of ``mask``, read from its binary digits."""
+    return compress(range(n), format(mask, f"0{n}b").encode()[::-1].translate(_DIGITS))
 
 
 def _reference_dist2_masks(g):
-    """Distance-2 masks by the per-neighbour loop: OR the rows of N(v),
-    then drop N[v]."""
+    """Distance-2 masks by the per-neighbour loop: OR the rows of N(v)
+    until the row is full, then drop N[v]."""
+    adj = g.adj_mask
+    full = (1 << g.n) - 1
     out = []
-    for v in range(g.n):
+    for v, mk in enumerate(adj):
         reach = 0
-        for u in iter_bits(g.adj_mask[v]):
-            reach |= g.adj_mask[u]
-        out.append(reach & ~(g.adj_mask[v] | (1 << v)))
+        for u in _members(mk, g.n):
+            reach |= adj[u]
+            if reach == full:
+                break
+        out.append(reach & ~(mk | (1 << v)))
     return tuple(out)
 
 
 def _assert_dist2_matches_reference(g):
     expected = _reference_dist2_masks(g)
     assert g.dist2_masks() == expected
-    assert square(g) == Graph(g.n, [a | d for a, d in zip(g.adj_mask, expected)])
+    assert _square(g) == Graph(g.n, [a | d for a, d in zip(g.adj_mask, expected)])
 
 
 # n on and beside the edges of the 8-row blocks.
@@ -140,27 +159,132 @@ def test_dist2_masks_match_reference_on_generated_instances():
                 _assert_dist2_matches_reference(g)
 
 
-def test_dist2_masks_peak_memory():
-    """One OR table is alive at a time; all 250 tables of an n = 2000
-    graph together would take about 16 MB."""
-    g = derive_graph(gen_instance("interval", 2000, 1))
+def _peak_over_kept(g):
     tracemalloc.start()
     try:
         masks = g.dist2_masks()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    kept = sys.getsizeof(masks) + sum(map(sys.getsizeof, masks))
-    assert peak < 4 * kept
+    return peak / (sys.getsizeof(masks) + sum(map(sys.getsizeof, masks)))
+
+
+def test_dist2_masks_peak_memory():
+    """One OR table is alive at a time; all 250 tables of an n = 2000
+    graph together would take about 16 MB."""
+    assert _peak_over_kept(derive_graph(gen_instance("interval", 2000, 1))) < 4
+
+
+def test_dist2_masks_peak_memory_on_a_sparse_graph():
+    """The breadth-first rows and the runs keep the bound of the dense
+    pass: the order is n ints and each run a slice."""
+    assert _peak_over_kept(derive_graph(gen_instance("interval", 2000, 1, density=0.05))) < 4
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments and result of each call to ``graph.<name>``."""
+    calls = []
+    real = getattr(graph, name)
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(graph, name, spy)
+    return calls
+
+
+def test_dist2_masks_match_reference_at_scale(monkeypatch):
+    """All five classes at n 1000, without a density and at 0.05, and one
+    sparse n = 2000 graph.  Between them they take the breadth-first rows
+    and the direct test of the open pairs."""
+    ordered = _spy(monkeypatch, "_bfs_order")
+    finished = _spy(monkeypatch, "_test_open_pairs")
+    for kind in REP_KINDS:
+        for density in (None, 0.05):
+            _assert_dist2_matches_reference(derive_graph(gen_instance(kind, 1000, 5, density=density)))
+    _assert_dist2_matches_reference(derive_graph(gen_instance("containment", 2000, 5, density=0.05)))
+    assert len(ordered) >= 4 and len(finished) >= 4
+
+
+def _components(g):
+    label = [None] * g.n
+    for s in range(g.n):
+        if label[s] is None:
+            label[s], stack = s, [s]
+            while stack:
+                for u in iter_bits(g.adj_mask[stack.pop()]):
+                    if label[u] is None:
+                        label[u] = s
+                        stack.append(u)
+    return label
+
+
+def test_dist2_masks_with_components_and_isolated_vertices(monkeypatch):
+    """A path, a cycle, a star, a sparse random graph and 100 isolated
+    vertices under shuffled ids: the breadth-first order visits each
+    component in one piece, and the masks match the reference."""
+    rng = random.Random(3)
+    ids = list(range(700))
+    rng.shuffle(ids)
+    path, cycle, star, rand = ids[:150], ids[150:250], ids[250:400], ids[400:600]
+    edges = list(zip(path, path[1:])) + list(zip(cycle, cycle[1:] + cycle[:1]))
+    edges += [(star[0], v) for v in star[1:]]
+    edges += [e for e in itertools.combinations(rand, 2) if rng.random() < 0.02]
+    g = build_graph(700, edges)
+    ordered = _spy(monkeypatch, "_bfs_order")
+    _assert_dist2_matches_reference(g)
+    assert len(ordered) == 1
+    order = ordered[0][1]
+    assert sorted(order) == list(range(700))
+    label = _components(g)
+    changes = sum(label[a] != label[b] for a, b in zip(order, order[1:]))
+    assert len(set(label)) > 100
+    assert changes == len(set(label)) - 1
+
+
+@pytest.mark.parametrize("n", [503, 505, 1023, 1025])
+def test_dist2_masks_beside_multiples_of_8(n):
+    """n one below and one above a multiple of 8, on both sides of the
+    64-block threshold of the breadth-first rows, dense and sparse."""
+    for density in (None, 0.05):
+        _assert_dist2_matches_reference(derive_graph(gen_instance("interval", n, n, density=density)))
+
+
+def test_dist2_masks_stop_after_the_first_block_of_a_star(monkeypatch):
+    """The centre's block comes first and fills every row of a star's
+    square, so the first checkpoint stops the pass."""
+    checks = _spy(monkeypatch, "_few_open_pairs")
+    finished = _spy(monkeypatch, "_test_open_pairs")
+    g = build_graph(600, [(17, v) for v in range(600) if v != 17])
+    _assert_dist2_matches_reference(g)
+    assert [(args[1:], out) for args, out in checks] == [((74, 1), True)]
+    assert len(finished) == 1
+
+
+def test_dist2_masks_run_every_block_when_the_square_never_fills(monkeypatch):
+    """Two disjoint cliques: half the pairs stay open at every
+    checkpoint, so every block runs and no pair is tested directly."""
+    checks = _spy(monkeypatch, "_few_open_pairs")
+    finished = _spy(monkeypatch, "_test_open_pairs")
+    g = build_graph(
+        320,
+        list(itertools.combinations(range(0, 320, 2), 2))
+        + list(itertools.combinations(range(1, 320, 2), 2)),
+    )
+    _assert_dist2_matches_reference(g)
+    assert [args[2] for args, _ in checks] == [1, 2, 4, 8, 16, 32]
+    assert not any(out for _, out in checks) and finished == []
 
 
 def test_square_small_cases():
     c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert square(c4).m == 6
+    assert _square(c4).m == 6
     p3 = build_graph(3, [(0, 1), (1, 2)])
-    assert square(p3).m == 3
+    assert _square(p3).m == 3
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert square(star).m == 6
+    assert _square(star).m == 6
 
 
 def test_square_matches_bfs_distances():
@@ -169,7 +293,7 @@ def test_square_matches_bfs_distances():
     for _ in range(60):
         n = rng.randint(1, 10)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.35]
-        sq = square(build_graph(n, edges))
+        sq = _square(build_graph(n, edges))
         nbrs = _neighbor_sets(n, edges)
         dist = [[None] * n for _ in range(n)]
         for s in range(n):
@@ -348,13 +472,13 @@ def test_clique_number_cap():
 
 def test_2k2_detection():
     two_k2 = build_graph(4, [(0, 1), (2, 3)])
-    assert not is_2k2_free(two_k2)
+    assert not _is_2k2_free(two_k2)
     assert find_2k2(two_k2) == (0, 1, 2, 3)
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert is_2k2_free(star)
+    assert _is_2k2_free(star)
     assert find_2k2(star) is None
     c6 = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
-    assert not is_2k2_free(c6)
+    assert not _is_2k2_free(c6)
 
 
 def test_find_2k2_witness_is_induced():

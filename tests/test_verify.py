@@ -829,12 +829,12 @@ PACKAGE_EXPORTS = [
     "Violation", "arc_clique_number", "bound_report", "build_graph",
     "check_structural_claims", "chi_square_exact", "class_bound",
     "clique_number_exact", "compute_stats", "defer_degree_one", "derive_graph",
-    "dist2_set", "exact_lambda", "find_2k2", "gen_instance", "greedy_lpq",
-    "is_2k2_free", "is_connected", "label_circular_arc", "label_cointerval",
-    "label_instance", "label_interval", "label_interval_k", "label_permutation",
-    "minimal_elements", "parse_instance", "parse_labeling", "rightpoint_order_desc",
-    "serialize_instance", "serialize_labeling", "split_circular", "square",
-    "validate",
+    "exact_lambda", "find_2k2", "gen_instance", "greedy_lpq", "is_connected",
+    "label_circular_arc", "label_cointerval", "label_instance",
+    "label_interval", "label_interval_k", "label_permutation",
+    "minimal_elements", "parse_instance", "parse_labeling",
+    "rightpoint_order_desc", "serialize_instance", "serialize_labeling",
+    "split_circular", "validate",
 ]
 
 
