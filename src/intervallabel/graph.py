@@ -125,43 +125,44 @@ def _dist2_masks(g: Graph) -> tuple[int, ...]:
     adj = g.adj_mask
     n = g.n
     nb = (n + 7) >> 3
-    ordered = nb >= _ORDER_BLOCKS and 2 * _ORDER_DENSITY * g.m < n * n
-    order: Sequence[int] = range(n)
+    order: list[int] | None = None
     seq = adj  # the adjacency rows in row order
-    if ordered:
-        order = _bfs_order(adj)
-        seq = tuple([adj[v] for v in order])
-    rows = b"".join([mk.to_bytes(nb, "little") for mk in seq])
     blocks: Sequence[int] = range(nb)
     reach = [0] * n
+    # With one or two blocks there is no checkpoint to reach, so those
+    # graphs skip the seeding, the sort, the ordering and the tail.
     if nb > 2:
-        # Rows seeded with N[v] and heavy blocks first bring the exit
-        # early; with one or two blocks there is no checkpoint to reach.
+        if nb >= _ORDER_BLOCKS and 2 * _ORDER_DENSITY * g.m < n * n:
+            order = _bfs_order(adj)
+            seq = tuple([adj[v] for v in order])
+        # Rows seeded with N[v] and heavy blocks first bring the exit early.
         blocks = sorted(blocks, key=lambda b: -sum(map(int.bit_count, adj[8 * b : 8 * b + 8])))
-        reach = [mk | 1 << v for v, mk in zip(order, seq)]
+        reach = [mk | 1 << v for v, mk in zip(order or range(n), seq)]
+    rows = b"".join([mk.to_bytes(nb, "little") for mk in seq])
     done = 0
     for done, b in enumerate(blocks, 1):
         table = [0]
         for mk in adj[8 * b : 8 * b + 8]:
             table += [x | mk for x in table]
         col = rows[b::nb]
-        get = table.__getitem__
-        if ordered and 2 * col.count(0) > n:
+        if order is not None and 2 * col.count(0) > n:
+            get = table.__getitem__
             for s, e in _nonzero_runs(col):
                 reach[s:e] = map(or_, reach[s:e], map(get, col[s:e]))
         else:
-            reach = list(map(or_, reach, map(get, col)))
+            reach = list(map(or_, reach, map(table.__getitem__, col)))
         # Checkpoints after 1, 2, 4, ... blocks, while two or more are left.
-        if done & (done - 1) == 0 and done < nb - 1 and _few_open_pairs(reach, nb - done, done):
+        if done < nb - 1 and done & (done - 1) == 0 and _few_open_pairs(reach, nb - done, done):
             break
-    del rows
-    if ordered:
-        by_vertex = [0] * n
-        for v, r in zip(order, reach):
-            by_vertex[v] = r
-        reach = by_vertex
-    if done < nb:
-        _test_open_pairs(adj, reach)
+    if nb > 2:
+        del rows
+        if order is not None:
+            by_vertex = [0] * n
+            for v, r in zip(order, reach):
+                by_vertex[v] = r
+            reach = by_vertex
+        if done < nb:
+            _test_open_pairs(adj, reach)
     return tuple([r & ~(mk | 1 << v) for v, r, mk in zip(range(n), reach, adj)])
 
 

@@ -16,7 +16,7 @@ _spec.loader.exec_module(layer_times)
 
 def test_layer_times_writes_every_class_shape_and_layer(tmp_path):
     out = tmp_path / "layers.json"
-    assert layer_times.main(["--n", "24", "48", "--repeat", "1", "--seed", "2", "--out", str(out)]) == 0
+    assert layer_times.main(["--n", "24", "48", "--out", str(out)]) == 0
     data = json.loads(out.read_text(encoding="utf-8"))
     assert data["conditions"]["n"] == [24, 48]
     rows = {(r["class"], r["shape"]): r for r in data["layers"]}
@@ -34,7 +34,7 @@ def test_growth_per_doubling():
     assert layer_times.growth_per_doubling([100], [1.0]) is None
 
 
-def test_layer_times_rejects_a_zero_repeat():
+def test_layer_times_rejects_a_zero_n():
     with pytest.raises(SystemExit) as exc:
-        layer_times.main(["--n", "8", "--repeat", "0"])
+        layer_times.main(["--n", "8", "0"])
     assert exc.value.code == 2

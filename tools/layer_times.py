@@ -1,9 +1,9 @@
 """Minimum wall time of each pipeline layer, by class, shape and n.
 
 For every class, shape (``dense``: no density; ``sparse``: density 0.05)
-and n, the script draws ``gen_instance(kind, n, seed, density)`` afresh
-for each repeat, so no memo serves a timed call, and times these layers
-at (p,q) = (2,1), in this order:
+and n, the script draws ``gen_instance(kind, n, SEED, density)`` afresh
+for each of ``REPEAT`` passes, so no memo serves a timed call, and times
+these layers at (p,q) = (2,1), in this order:
 
 - ``derive``: ``derive_graph`` on the fresh representation;
 - ``dist2``: ``Graph.dist2_masks`` on the fresh graph;
@@ -12,13 +12,13 @@ at (p,q) = (2,1), in this order:
 - ``label``: ``label_instance``, with the graph and masks built;
 - ``validate``: ``validate`` of that labeling.
 
-It keeps the minimum over the repeats, in milliseconds, and fits the
+It keeps the minimum over the passes, in milliseconds, and fits the
 growth per doubling of n of each layer (least squares on log2 time
 against log2 n).  The machine's speed drifts, so compare figures only
 within one file.
 
     PYTHONPATH=src python tools/layer_times.py [--n 200 1000 2000 4000]
-        [--repeat 3] [--seed 1] [--out layers.json]
+        [--out layers.json]
 
 The JSON goes to ``--out`` or, without it, to standard output.
 """
@@ -46,6 +46,8 @@ from intervallabel.reps import REP_KINDS
 
 SHAPES = {"dense": None, "sparse": 0.05}
 LAYERS = ("derive", "dist2", "stats", "omega", "label", "validate")
+REPEAT = 3
+SEED = 1
 
 
 def _timed(fn: Callable, *args):
@@ -80,15 +82,15 @@ def growth_per_doubling(ns: list[int], ms: list[float]) -> float | None:
     return round(2 ** (sxy / sxx), 2)
 
 
-def measure(ns: list[int], repeat: int, seed: int) -> dict:
+def measure(ns: list[int]) -> dict:
     rows = []
     for kind in REP_KINDS:
         for shape, density in SHAPES.items():
             per_n = {}
             for n in ns:
                 best: dict[str, float] = {}
-                for _ in range(repeat):
-                    for layer, t in time_layers(kind, density, n, seed).items():
+                for _ in range(REPEAT):
+                    for layer, t in time_layers(kind, density, n, SEED).items():
                         best[layer] = min(t, best.get(layer, math.inf))
                 per_n[n] = {layer: round(1000 * t, 3) for layer, t in best.items()}
             growth = {
@@ -101,11 +103,11 @@ def measure(ns: list[int], repeat: int, seed: int) -> dict:
             )
     return {
         "conditions": {
-            "seed": seed,
+            "seed": SEED,
             "pq": [2, 1],
-            "repeat": repeat,
+            "repeat": REPEAT,
             "n": ns,
-            "statistic": "minimum over repeats, ms",
+            "statistic": "minimum over passes, ms",
             "python": platform.python_version(),
         },
         "layers": rows,
@@ -115,13 +117,11 @@ def measure(ns: list[int], repeat: int, seed: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--n", type=int, nargs="+", default=[200, 1000, 2000, 4000])
-    ap.add_argument("--repeat", type=int, default=3)
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out")
     args = ap.parse_args(argv)
-    if args.repeat < 1 or min(args.n) < 1:
-        ap.error("--repeat and every --n must be positive")
-    text = json.dumps(measure(sorted(set(args.n)), args.repeat, args.seed), indent=1) + "\n"
+    if min(args.n) < 1:
+        ap.error("every --n must be positive")
+    text = json.dumps(measure(sorted(set(args.n))), indent=1) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
