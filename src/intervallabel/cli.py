@@ -37,7 +37,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -339,8 +338,9 @@ def _parse_pq(values: Sequence[str] | None) -> list[tuple[int, int]]:
     return pairs
 
 
-def _bench_instance(task: tuple) -> tuple[list[dict[str, Any]], list[str]]:
-    cfg, index, pairs, cap = task
+def _bench_instance(
+    cfg: RunConfig, index: int, pairs: list[tuple[int, int]], cap: int
+) -> tuple[list[dict[str, Any]], list[str]]:
     seed = cfg.seed + index
     rep = cfg.instance(index)
     g = derive_graph(rep)
@@ -364,26 +364,16 @@ def _bench_instance(task: tuple) -> tuple[list[dict[str, Any]], list[str]]:
     return rows, errors
 
 
-def _map_tasks(worker, tasks: list, jobs: int) -> list:
-    if jobs < 1:
-        raise CliError(f"--jobs must be positive, got {jobs}")
-    # The fork pool starts every worker up front; never start idle ones,
-    # nor more than there are CPUs.
-    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
-    if jobs <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks, chunksize=8))
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     pairs = _parse_pq(args.pq)
     _check_writable(args.out)
-    tasks = [(cfg, idx, pairs, args.cap) for idx in range(cfg.count)]
-    results = _map_tasks(_bench_instance, tasks, args.jobs)
-    rows = [row for chunk, _ in results for row in chunk]
-    errors = [line for _, lines in results for line in lines]
+    rows = []
+    errors = []
+    for idx in range(cfg.count):
+        chunk, lines = _bench_instance(cfg, idx, pairs, args.cap)
+        rows += chunk
+        errors += lines
     for line in errors:
         print(line, file=sys.stderr)
     if args.format == "json":
@@ -405,9 +395,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 1 if errors else 0
 
 
-def _claims_instance(task: tuple) -> tuple[int, list[ClaimCheck]]:
-    cfg, index, claims = task
-    return cfg.seed + index, check_structural_claims(cfg.instance(index), claims)
+def _claims_instance(
+    cfg: RunConfig, index: int, claims: tuple[str, ...] | None
+) -> list[ClaimCheck]:
+    return check_structural_claims(cfg.instance(index), claims)
 
 
 def cmd_claims(args: argparse.Namespace) -> int:
@@ -418,14 +409,13 @@ def cmd_claims(args: argparse.Namespace) -> int:
                     f"claim {name!r} not applicable to class {args.cls!r}"
                 )
     cfg = _run_config(args)
-    claims = tuple(args.claim) if args.claim else None
+    # A repeated --claim is checked once.
+    claims = tuple(dict.fromkeys(args.claim)) if args.claim else None
     _check_writable(args.out)
-    tasks = [(cfg, idx, claims) for idx in range(cfg.count)]
-    results = _map_tasks(_claims_instance, tasks, args.jobs)
     by_claim: dict[str, list[tuple[int, ClaimCheck]]] = {}
-    for seed, checks in results:
-        for check in checks:
-            by_claim.setdefault(check.claim, []).append((seed, check))
+    for idx in range(cfg.count):
+        for check in _claims_instance(cfg, idx, claims):
+            by_claim.setdefault(check.claim, []).append((cfg.seed + idx, check))
     reports = [
         ClaimReport(
             claim=name,
@@ -530,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="grid point, repeatable; no occurrences = empty grid",
     )
     p_bench.add_argument("--cap", type=canonical_int, default=12, help="exact oracle cap")
-    p_bench.add_argument("--jobs", type=canonical_int, default=1)
     p_bench.add_argument("--format", choices=("json", "csv"), default="csv")
     p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=cmd_bench)
@@ -540,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_claims.add_argument(
         "--claim", action="append", default=None, help="claim tag, repeatable"
     )
-    p_claims.add_argument("--jobs", type=canonical_int, default=1)
     p_claims.add_argument("--out", default=None)
     p_claims.set_defaults(func=cmd_claims)
 

@@ -390,7 +390,7 @@ def _unwritable_argv(tmp_path, command):
             "--pq", "2,1", "--out", missing]
 
 
-def _no_instance_may_run(task):
+def _no_instance_may_run(*args):
     raise AssertionError("an instance ran before the output path was checked")
 
 
@@ -717,12 +717,38 @@ def test_bench_deterministic_modulo_runtime(capsys):
     assert _strip_timings(a) == _strip_timings(b)
 
 
-def test_bench_jobs_match_serial(capsys):
-    base = ["bench", "--class", "interval_k", "--n", "6", "--seed", "2",
-            "--count", "6", "--pq", "2,1"]
-    _, serial = _bench_rows(base + ["--jobs", "1"], capsys)
-    _, parallel = _bench_rows(base + ["--jobs", "2"], capsys)
-    assert _strip_timings(serial) == _strip_timings(parallel)
+def test_sweeps_split_into_seed_shards(monkeypatch, capsys):
+    """Instance i of base seed s is instance 0 of seed s + i, so two
+    --seed/--count shards add up to the whole sweep."""
+    def bench(seed, count):
+        return _strip_timings(_bench_rows(
+            ["bench", "--class", "containment", "--n", "8", "--seed", str(seed),
+             "--count", str(count), "--pq", "2,1", "--pq", "1,2"], capsys)[1])
+
+    assert bench(0, 3) + bench(3, 3) == bench(0, 6)
+
+    # The claims hold, so plant a witness on every applicable check to
+    # give the violation lists seeds to line up.
+    def planted(rep, claims):
+        return [replace(c, witnesses=(("planted",),)) if c.applicable else c
+                for c in verify.check_structural_claims(rep, claims)]
+
+    monkeypatch.setattr(cli, "check_structural_claims", planted)
+
+    def claims(seed, count):
+        assert main(["claims", "--class", "interval_order", "--n", "6",
+                     "--seed", str(seed), "--count", str(count)]) == 1
+        return json.loads(capsys.readouterr().out)
+
+    whole = claims(0, 10)
+    head, tail = claims(0, 4), claims(4, 6)
+    assert [r["claim"] for r in whole] == [r["claim"] for r in head] == [
+        r["claim"] for r in tail]
+    for w, h, t in zip(whole, head, tail):
+        assert w["checked"] == h["checked"] + t["checked"] == 10
+        assert w["applicable"] == h["applicable"] + t["applicable"]
+        assert w["violations"] == h["violations"] + t["violations"]
+        assert len(w["violations"]) == w["applicable"]
 
 
 def test_bench_json_format(capsys):
@@ -764,64 +790,16 @@ def test_bench_max_degree_one_is_report_only(capsys, cls, seed, pq):
     assert row["holds"] == "false"
 
 
-def _fake_pool(monkeypatch, cpus):
-    """Replace the process pool by one that records ``max_workers`` and
-    maps in this process, on a machine with ``cpus`` CPUs."""
-    seen = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    return seen
-
-
-def test_map_tasks_starts_no_more_workers_than_tasks(monkeypatch):
-    seen = _fake_pool(monkeypatch, 8)
-    assert cli._map_tasks(abs, [-1, -2], 5000) == [1, 2]
-    assert cli._map_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
-    assert cli._map_tasks(abs, [-4], 5000) == [4]
-    assert cli._map_tasks(abs, [], 5000) == []
-    assert seen == [2, 2]
-
-
-def test_map_tasks_starts_no_more_workers_than_cpus(monkeypatch, capsys):
-    """--jobs 100000 once asked the pool for one worker per task."""
-    argv = ["bench", "--class", "interval", "--n", "5", "--seed", "1",
-            "--count", "5", "--pq", "2,1"]
-    _, serial = _bench_rows(argv, capsys)
-    seen = _fake_pool(monkeypatch, 3)
-    _, pooled = _bench_rows(argv + ["--jobs", "100000"], capsys)
-    assert seen == [3]
-    assert _strip_timings(pooled) == _strip_timings(serial)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: serial
-    _, unknown = _bench_rows(argv + ["--jobs", "100000"], capsys)
-    assert seen == [3]
-    assert _strip_timings(unknown) == _strip_timings(serial)
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
 @pytest.mark.parametrize("command", ["bench", "claims"])
-def test_non_positive_jobs_is_a_usage_error(monkeypatch, capsys, command, jobs):
-    """Both commands once ran serially on --jobs 0 or below."""
-    seen = _fake_pool(monkeypatch, 8)
-    argv = [command, "--class", "interval", "--n", "3", "--seed", "1",
-            "--count", "2", "--jobs", jobs]
-    assert main(argv) == 2
+def test_jobs_is_not_an_option(capsys, command):
+    """Sweeps run in one process; there is no worker count to set."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--class", "interval", "--n", "3", "--seed", "1",
+              "--count", "2", "--jobs", "2"])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert f"--jobs must be positive, got {jobs}" in captured.err
-    assert captured.out == "" and seen == []
+    assert "unrecognized arguments: --jobs 2" in captured.err
+    assert captured.out == ""
 
 
 def test_bench_skips_oracle_beyond_cap(capsys):
@@ -950,10 +928,13 @@ def test_claims_class_mismatch(capsys):
     assert "not applicable to class 'interval'" in capsys.readouterr().err
 
 
-def test_claims_parallel_matches_serial(capsys):
-    base = ["claims", "--class", "containment", "--n", "6", "--seed", "1",
-            "--count", "8"]
-    assert main(base + ["--jobs", "1"]) == 0
-    serial = capsys.readouterr().out
-    assert main(base + ["--jobs", "2"]) == 0
-    assert capsys.readouterr().out == serial
+def test_claims_repeated_claim_is_checked_once(capsys):
+    """A repeated --claim once counted every instance twice."""
+    base = ["claims", "--class", "interval_order", "--n", "8", "--seed", "0",
+            "--count", "4", "--claim", "order-min-cover"]
+    assert main(base) == 0
+    once = capsys.readouterr().out
+    assert main(base + ["--claim", "order-min-cover"]) == 0
+    assert capsys.readouterr().out == once
+    (report,) = json.loads(once)
+    assert report["checked"] == 4
