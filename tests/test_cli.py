@@ -717,16 +717,22 @@ def test_bench_deterministic_modulo_runtime(capsys):
     assert _strip_timings(a) == _strip_timings(b)
 
 
-def test_sweeps_split_into_seed_shards(monkeypatch, capsys):
-    """Instance i of base seed s is instance 0 of seed s + i, so two
-    --seed/--count shards add up to the whole sweep."""
+def test_bench_jobs_match_serial(capsys):
+    """Instance i of base seed s is instance 0 of seed s + i, so a sweep
+    run as separate --seed/--count jobs gives the rows of the serial one."""
     def bench(seed, count):
         return _strip_timings(_bench_rows(
-            ["bench", "--class", "containment", "--n", "8", "--seed", str(seed),
+            ["bench", "--class", "interval_k", "--n", "6", "--seed", str(seed),
              "--count", str(count), "--pq", "2,1", "--pq", "1,2"], capsys)[1])
 
-    assert bench(0, 3) + bench(3, 3) == bench(0, 6)
+    serial = bench(2, 6)
+    assert bench(2, 3) + bench(5, 3) == serial
+    assert [row for seed in range(2, 8) for row in bench(seed, 1)] == serial
 
+
+def test_claims_parallel_matches_serial(monkeypatch, capsys):
+    """claims shards that could run side by side add up to the serial
+    sweep: counts sum and violation lists concatenate."""
     # The claims hold, so plant a witness on every applicable check to
     # give the violation lists seeds to line up.
     def planted(rep, claims):
