@@ -395,12 +395,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 1 if errors else 0
 
 
-def _claims_instance(
-    cfg: RunConfig, index: int, claims: tuple[str, ...] | None
-) -> list[ClaimCheck]:
-    return check_structural_claims(cfg.instance(index), claims)
-
-
 def cmd_claims(args: argparse.Namespace) -> int:
     if args.claim:
         for name in args.claim:
@@ -414,7 +408,7 @@ def cmd_claims(args: argparse.Namespace) -> int:
     _check_writable(args.out)
     by_claim: dict[str, list[tuple[int, ClaimCheck]]] = {}
     for idx in range(cfg.count):
-        for check in _claims_instance(cfg, idx, claims):
+        for check in check_structural_claims(cfg.instance(idx), claims):
             by_claim.setdefault(check.claim, []).append((cfg.seed + idx, check))
     reports = [
         ClaimReport(

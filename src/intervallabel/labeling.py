@@ -9,26 +9,29 @@ common-neighbor and distance<=2 variants).  The span is max(f) - min(f).
 
 All labelers here run one first-fit greedy, ``_first_fit``, over an
 ordering derived from the representation (non-increasing right
-endpoint, degree-one vertices deferred to the end).  The interval and
-circular-arc labelers label with multiples of m = max(p, q), which is
-what makes their spans provably small.  First-fit at L(m, m) gives
-exactly m times first-fit at L(1, 1) on the same order: while every
-placed label is a multiple of m, each window (f - m, f + m) bars one
-multiple, f, so the least free label is m times the least free label
-of the (1, 1) run.  So those labelers run first-fit once per
+endpoint, degree-one vertices deferred to the end).  The circular-arc
+labeler cuts the circle at a clique C, labels the rest, a line of
+intervals, with multiples of m = max(p, q), and stacks C above it at
+steps of p; the interval labeler is the same construction with C
+empty.  Both are one function, ``_multiples``.  First-fit at L(m, m)
+gives exactly m times first-fit at L(1, 1) on the same order: while
+every placed label is a multiple of m, each window (f - m, f + m) bars
+one multiple, f, so the least free label is m times the least free
+label of the (1, 1) run.  So the line part is labeled once per
 representation, at (1, 1), and each (p, q) point scales the result by
-m.  That run, the arc split's clique order and the rightpoint
-labelers' deferred order depend on the representation alone; each is
+m.  That run with its line and clique orders, and the rightpoint
+labelers' deferred order, depend on the representation alone; each is
 memoised on it and freed with it.
 
 The first-fit keeps each placed label once, with a mask of the vertices
 holding it, in blocks of consecutive labels that also record the union
 of their holders and, for each gap too wide for two windows of radius
-min(p, q) to meet, the holders of its two ends.  A vertex skips a block
-none of whose holders is within distance 2 of it, crosses a block whose
-windows form one forbidden run in a single step, and walks only the
-other blocks label by label.  Neither its memory nor its steps grow
-with p or q.
+min(p, q) to meet, the holders of its two ends.  That map is updated
+when a new label splits a gap and when a block splits, not when a
+vertex joins a label.  A vertex skips a block none of whose holders is
+within distance 2 of it, crosses a block whose windows form one
+forbidden run in a single step, and walks only the other blocks label
+by label.  Neither its memory nor its steps grow with p or q.
 """
 
 from __future__ import annotations
@@ -129,9 +132,9 @@ def _block(labs: list[int], holders: dict[int, int], width: int) -> list[Any]:
     return [labs, reduce(or_, masks), {a: ha | hb for a, b, ha, hb in pairs if b - a >= width}]
 
 
-def _first_fit(g: Graph, order: Iterable[int], p: int, q: int, labels: list[int]) -> None:
-    """First-fit over ``order`` into ``labels`` as ``greedy_lpq`` states it,
-    counting only the vertices this pass labels.
+def _first_fit(g: Graph, order: Iterable[int], p: int, q: int) -> list[int]:
+    """First-fit over ``order`` as ``greedy_lpq`` states it, counting only
+    the vertices this pass labels; every other vertex gets label 0.
 
     A vertex v takes the least integer j >= 0 outside the union of the
     open windows (f - p, f + p) of the labels f held by neighbours of v
@@ -167,12 +170,13 @@ def _first_fit(g: Graph, order: Iterable[int], p: int, q: int, labels: list[int]
     after that only at a larger label, to at least that label plus r,
     beyond the dropped window's end.
 
-    The map is kept exact: a new label drops the entry of the gap it
-    lands in and adds each of the two halves that is wide, a vertex
-    joining a label ORs its bit into the entries of the gaps that label
-    ends, and a split rebuilds both halves' maps.  Only a missing entry
-    for a wide gap would give a wrong label; a stale entry or a missing
-    holder would only make a block walked that could be crossed.
+    The map is maintained on insert and split only: a new label drops
+    the entry of the gap it lands in and adds each of the two halves
+    that is wide, with the holders its ends have then, and a split
+    rebuilds both halves' maps.  A vertex joining a label leaves the
+    map as it is.  Only a missing entry for a wide gap would give a
+    wrong label; an entry that lacks a later holder can only fail the
+    crossing test, so a block is walked that could have been crossed.
     Nothing here grows with p or q.
     """
     adj = g.adj_mask
@@ -183,6 +187,7 @@ def _first_fit(g: Graph, order: Iterable[int], p: int, q: int, labels: list[int]
     # ``_block`` builds it.  The first vertex takes 0, so seeding label 0
     # with no holders changes nothing and keeps every later label at or
     # above the first block's.
+    labels = [0] * g.n
     holders = {0: 0}
     blocks: list[list[Any]] = [[[0], 0, {}]]
     firsts = [0]
@@ -238,19 +243,11 @@ def _first_fit(g: Graph, order: Iterable[int], p: int, q: int, labels: list[int]
         i = bisect_right(firsts, j) - 1
         blk = blocks[i]
         blk[1] |= bit
-        wide = blk[2]
         if j in holders:
             holders[j] |= bit
-            if wide:
-                if j in wide:
-                    wide[j] |= bit
-                labs = blk[0]
-                k = bisect_left(labs, j)
-                if k and labs[k - 1] in wide:
-                    wide[labs[k - 1]] |= bit
             continue
         holders[j] = bit
-        labs = blk[0]
+        labs, wide = blk[0], blk[2]
         k = bisect_left(labs, j)
         labs.insert(k, j)
         a = labs[k - 1]
@@ -266,6 +263,7 @@ def _first_fit(g: Graph, order: Iterable[int], p: int, q: int, labels: list[int]
                 _block(labs[_BLOCK:], holders, two_lo),
             )
             firsts.insert(i + 1, labs[_BLOCK])
+    return labels
 
 
 def greedy_lpq(g: Graph, ordering: Sequence[int], params: LpqParams) -> Labeling:
@@ -273,8 +271,7 @@ def greedy_lpq(g: Graph, ordering: Sequence[int], params: LpqParams) -> Labeling
     forbidden ranges [f(u)-p+1, f(u)+p-1] of its labeled neighbors and
     [f(u)-q+1, f(u)+q-1] of labeled vertices at distance exactly 2."""
     order = _check_permutation(g.n, ordering)
-    labels = [0] * g.n
-    _first_fit(g, order, params.p, params.q, labels)
+    labels = _first_fit(g, order, params.p, params.q)
     return Labeling(tuple(labels), params.p, params.q, "greedy", tuple(order))
 
 
@@ -289,64 +286,52 @@ def defer_degree_one(g: Graph, base: Sequence[int]) -> list[int]:
     return keep + defer
 
 
-def _unit_interval(rep: IntervalRep) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Right-endpoint order and its first-fit labels at L(1, 1)."""
-    order = tuple(rightpoint_order_desc(rep))
-    labels = [0] * rep.n
-    _first_fit(derive_graph(rep), order, 1, 1, labels)
-    return order, tuple(labels)
+def _unit_labels(
+    rep: IntervalRep | CircularArcRep,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Line order, cut-clique order and the line part's first-fit labels
+    at L(1, 1), 0 on the clique.
+
+    An interval representation is its own line part and its cut is
+    empty.  An arc representation is split; its line part goes in the
+    right-endpoint order of the split's intervals, and its clique by
+    non-increasing arc length, ties by id.
+    """
+    if isinstance(rep, IntervalRep):
+        line, clique = rightpoint_order_desc(rep), ()
+    else:
+        split = split_circular(rep)
+        line = [split.line_ids[i] for i in rightpoint_order_desc(split.intervals)]
+        circ = rep.circumference
+        clique = sorted(
+            split.clique_ids,
+            key=lambda v: (-((rep.arcs[v][1] - rep.arcs[v][0]) % circ), v),
+        )
+    labels = _first_fit(derive_graph(rep), line, 1, 1)
+    return tuple(line), tuple(clique), tuple(labels)
+
+
+def _multiples(rep: Representation, params: LpqParams, cls: type, algorithm: str) -> Labeling:
+    """The line part at L(m, m), m = max(p, q), as m times the memoised
+    first-fit at L(1, 1), with the cut clique stacked above it at steps
+    of p."""
+    if not isinstance(rep, cls):
+        raise TypeError(f"expected {cls.__name__}, got {type(rep).__name__}")
+    line, clique, unit = _memo(rep, "_unit_labels", _unit_labels)
+    m = params.max_sep
+    labels = [m * x for x in unit]
+    if clique:
+        base = max((labels[v] for v in line), default=-m) + m
+        for i, v in enumerate(clique):
+            labels[v] = base + i * params.p
+    return Labeling(tuple(labels), params.p, params.q, algorithm, line + clique)
 
 
 def label_interval(rep: IntervalRep, params: LpqParams) -> Labeling:
     """Right-endpoint first-fit at L(m, m), m = max(p, q), so every label
     is a multiple of m; span <= m*Delta.  Computed as m times the
     memoised first-fit at L(1, 1), which it equals."""
-    if not isinstance(rep, IntervalRep):
-        raise TypeError(f"expected IntervalRep, got {type(rep).__name__}")
-    order, unit = _memo(rep, "_unit_labels", _unit_interval)
-    m = params.max_sep
-    labels = tuple([m * x for x in unit])
-    return Labeling(labels, params.p, params.q, "interval-multiples", order)
-
-
-def _deferred_order(rep: Representation) -> tuple[int, ...]:
-    return tuple(defer_degree_one(derive_graph(rep), rightpoint_order_desc(rep)))
-
-
-def _rightpoint_deferred(rep: Representation, params: LpqParams, cls: type) -> Labeling:
-    if not isinstance(rep, cls):
-        raise TypeError(f"expected {cls.__name__}, got {type(rep).__name__}")
-    order = _memo(rep, "_deferred_order", _deferred_order)
-    labels = [0] * rep.n
-    _first_fit(derive_graph(rep), order, params.p, params.q, labels)
-    return Labeling(tuple(labels), params.p, params.q, "rightpoint-greedy", order)
-
-
-def label_interval_k(rep: IntervalKRep, params: LpqParams) -> Labeling:
-    return _rightpoint_deferred(rep, params, IntervalKRep)
-
-
-def label_permutation(rep: ContainmentRep, params: LpqParams) -> Labeling:
-    return _rightpoint_deferred(rep, params, ContainmentRep)
-
-
-def label_cointerval(rep: IntervalOrderRep, params: LpqParams) -> Labeling:
-    return _rightpoint_deferred(rep, params, IntervalOrderRep)
-
-
-def _unit_arc_split(rep: CircularArcRep) -> tuple[list[int], list[int], tuple[int, ...]]:
-    """Line order, clique order, and the line part's first-fit labels at
-    L(1, 1) (0 on the clique)."""
-    split = split_circular(rep)
-    line_order = [split.line_ids[i] for i in rightpoint_order_desc(split.intervals)]
-    labels = [0] * rep.n
-    _first_fit(derive_graph(rep), line_order, 1, 1, labels)
-    circ = rep.circumference
-    clique_order = sorted(
-        split.clique_ids,
-        key=lambda v: (-((rep.arcs[v][1] - rep.arcs[v][0]) % circ), v),
-    )
-    return line_order, clique_order, tuple(labels)
+    return _multiples(rep, params, IntervalRep, "interval-multiples")
 
 
 def label_circular_arc(rep: CircularArcRep, params: LpqParams) -> Labeling:
@@ -360,16 +345,31 @@ def label_circular_arc(rep: CircularArcRep, params: LpqParams) -> Labeling:
     line part is m times the memoised first-fit at L(1, 1), which it
     equals; the clique is stacked per call.
     """
-    if not isinstance(rep, CircularArcRep):
-        raise TypeError(f"expected CircularArcRep, got {type(rep).__name__}")
-    line_order, clique_order, unit = _memo(rep, "_unit_labels", _unit_arc_split)
-    m = params.max_sep
-    labels = [m * x for x in unit]
-    base = max((labels[v] for v in line_order), default=-m) + m
-    for i, v in enumerate(clique_order):
-        labels[v] = base + i * params.p
-    ordering = tuple(line_order + clique_order)
-    return Labeling(tuple(labels), params.p, params.q, "arc-split", ordering)
+    return _multiples(rep, params, CircularArcRep, "arc-split")
+
+
+def _deferred_order(rep: Representation) -> tuple[int, ...]:
+    return tuple(defer_degree_one(derive_graph(rep), rightpoint_order_desc(rep)))
+
+
+def _rightpoint_deferred(rep: Representation, params: LpqParams, cls: type) -> Labeling:
+    if not isinstance(rep, cls):
+        raise TypeError(f"expected {cls.__name__}, got {type(rep).__name__}")
+    order = _memo(rep, "_deferred_order", _deferred_order)
+    labels = _first_fit(derive_graph(rep), order, params.p, params.q)
+    return Labeling(tuple(labels), params.p, params.q, "rightpoint-greedy", order)
+
+
+def label_interval_k(rep: IntervalKRep, params: LpqParams) -> Labeling:
+    return _rightpoint_deferred(rep, params, IntervalKRep)
+
+
+def label_permutation(rep: ContainmentRep, params: LpqParams) -> Labeling:
+    return _rightpoint_deferred(rep, params, ContainmentRep)
+
+
+def label_cointerval(rep: IntervalOrderRep, params: LpqParams) -> Labeling:
+    return _rightpoint_deferred(rep, params, IntervalOrderRep)
 
 
 _LABELERS = {

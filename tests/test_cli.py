@@ -402,7 +402,7 @@ def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, command):
     claims find out before their first instance."""
     argv = _unwritable_argv(tmp_path, command)
     monkeypatch.setattr(cli, "_bench_instance", _no_instance_may_run)
-    monkeypatch.setattr(cli, "_claims_instance", _no_instance_may_run)
+    monkeypatch.setattr(cli, "check_structural_claims", _no_instance_may_run)
     capsys.readouterr()
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -22,7 +22,6 @@ from intervallabel import (
     ContainmentRep,
     GraphStats,
     IntervalOrderRep,
-    IntervalRep,
     LabelingFormatError,
     LpqParams,
     build_graph,
@@ -399,6 +398,38 @@ def _first_fit_at_m(rep, params):
     return Labeling(tuple(labels), params.p, params.q, "arc-split", ordering)
 
 
+def test_arc_labeler_with_an_empty_cut_is_the_interval_labeler():
+    """An arc representation with an uncovered unit gap has an empty cut
+    clique, and its labeling is the interval labeling of the split's
+    line, mapped back through ``line_ids``, labels and ordering alike;
+    only the algorithm tag differs."""
+    checked = spans = 0
+    for n in (3, 8, 20, 60):
+        for seed in range(6):
+            rep = gen_instance("circular_arc", n, seed, density=0.05)
+            split = split_circular(rep)
+            if split.clique_ids:
+                continue
+            ids = split.line_ids
+            for pq in ((1, 1), (2, 1), (1, 2), (3, 2), (10**6, 1)):
+                arc = label_circular_arc(rep, LpqParams(*pq))
+                line = label_interval(split.intervals, LpqParams(*pq))
+                labels = [0] * n
+                for i, f in enumerate(line.labels):
+                    labels[ids[i]] = f
+                assert (arc.algorithm, line.algorithm) == ("arc-split", "interval-multiples")
+                mapped = replace(
+                    line,
+                    labels=tuple(labels),
+                    ordering=tuple(ids[i] for i in line.ordering),
+                    algorithm=arc.algorithm,
+                )
+                assert arc == mapped, (n, seed, pq)
+                spans += arc.span > 0
+            checked += 1
+    assert checked >= 20 and spans
+
+
 @pytest.mark.parametrize("kind", ["interval", "circular_arc"])
 def test_scaled_unit_labels_equal_first_fit_at_m(kind):
     """The labels scaled from the memoised (1, 1) run equal a fresh
@@ -628,9 +659,17 @@ def test_label_instance_dispatch():
         assert label_instance(rep, P21).algorithm == tags[kind]
 
 
-def test_label_instance_rejects_wrong_rep():
-    with pytest.raises(TypeError, match="expected IntervalKRep"):
-        label_interval_k(IntervalRep(((0, 1),)), P21)
+@pytest.mark.parametrize("kind", REP_KINDS)
+def test_label_instance_rejects_wrong_rep(kind):
+    """Each public labeler refuses the representations of the other four
+    families."""
+    labeler = labeling._LABELERS[kind]
+    expected = type(gen_instance(kind, 3, 0)).__name__
+    for other in REP_KINDS:
+        if other != kind:
+            rep = gen_instance(other, 3, 0)
+            with pytest.raises(TypeError, match=f"^expected {expected}, got {type(rep).__name__}$"):
+                labeler(rep, P21)
 
 
 def test_labelers_deterministic():

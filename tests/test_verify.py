@@ -706,9 +706,8 @@ def test_exact_lambda_survives_a_broken_labeler(monkeypatch, n, edges, pq):
     ``validate`` accepts it: with a first-fit that labels everything 0
     it once returned 2 on P3 and 3 on C4 at (2,1) instead of 3 and 4."""
 
-    def all_zero(g, order, p, q, labels):
-        for v in order:
-            labels[v] = 0
+    def all_zero(g, order, p, q):
+        return [0] * g.n
 
     monkeypatch.setattr(labeling, "_first_fit", all_zero)
     g = build_graph(n, edges)
