@@ -66,7 +66,6 @@ from .verify import (
     VARIANTS,
     BoundReport,
     ClaimCheck,
-    ClaimReport,
     Violation,
     bound_report,
     check_structural_claims,
@@ -411,17 +410,21 @@ def cmd_claims(args: argparse.Namespace) -> int:
         for check in check_structural_claims(cfg.instance(idx), claims):
             by_claim.setdefault(check.claim, []).append((cfg.seed + idx, check))
     reports = [
-        ClaimReport(
-            claim=name,
-            checked=len(runs),
-            applicable=sum(check.applicable for _, check in runs),
-            violations=tuple((seed, w) for seed, check in runs for w in check.witnesses),
-        )
+        {
+            "claim": name,
+            "checked": len(runs),
+            "applicable": sum(check.applicable for _, check in runs),
+            "violations": [
+                {"seed": seed, "witness": list(w)}
+                for seed, check in runs
+                for w in check.witnesses
+            ],
+        }
         for name, runs in sorted(by_claim.items())
     ]
-    payload = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
+    payload = json.dumps(reports, indent=2) + "\n"
     _write_or_print(payload, args.out)
-    return 1 if any(r.violations for r in reports) else 0
+    return 1 if any(r["violations"] for r in reports) else 0
 
 
 def _add_gen_flags(sub: argparse.ArgumentParser) -> None:

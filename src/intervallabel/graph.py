@@ -387,18 +387,6 @@ def _max_clique_mask(g: Graph) -> int:
     return best
 
 
-def clique_number_exact(g: Graph, cap: int = 64) -> int:
-    """Exact clique number: the size of :func:`max_clique_mask`.
-
-    Raises CapExceededError when n > cap.
-    """
-    if g.n > cap:
-        raise CapExceededError(
-            f"instance too large for exact clique search: n={g.n} > cap={cap}"
-        )
-    return max_clique_mask(g).bit_count()
-
-
 def find_2k2(g: Graph) -> tuple[int, int, int, int] | None:
     """An induced pair of independent edges (a, b, c, d), or None.
 

@@ -435,10 +435,13 @@ def parse_labeling(data: bytes | str) -> Labeling:
         raise LabelingFormatError("'ordering' must be a list")
     if not all(_is_int(v) for v in ordering):
         raise LabelingFormatError("'ordering' entries must be integers")
+    algorithm = doc.get("algorithm", "greedy")
+    if not isinstance(algorithm, str):
+        raise LabelingFormatError("'algorithm' must be a string")
     return Labeling(
         labels=tuple(labels),
         p=doc["p"],
         q=doc["q"],
-        algorithm=str(doc.get("algorithm", "greedy")),
+        algorithm=algorithm,
         ordering=tuple(ordering),
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .graph import (
     CapExceededError,
@@ -692,138 +692,110 @@ class ClaimCheck:
         return not self.witnesses
 
 
-@dataclass(frozen=True)
-class ClaimReport:
-    """Aggregate of one claim over a sweep of instances."""
-
-    claim: str
-    checked: int
-    applicable: int
-    violations: tuple[tuple[int, tuple], ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "claim": self.claim,
-            "checked": self.checked,
-            "applicable": self.applicable,
-            "violations": [
-                {"seed": seed, "witness": list(w)} for seed, w in self.violations
-            ],
-        }
+# Each check returns its witnesses, or None when its hypotheses fail.
+_Witnesses = list[tuple] | None
 
 
-def _claim_interval_dominator(rep: IntervalRep, g: Graph) -> ClaimCheck:
-    # v: smallest right endpoint (ties: id).  w: its neighbor with the
-    # largest right endpoint.  Claim: everything within distance 2 of v
-    # lies in the closed neighborhood of w.
+def _first_to_end(rep: IntervalRep | ContainmentRep | IntervalOrderRep) -> int | None:
+    """The vertex whose interval ends first, ties to the lower id; None
+    when there are no vertices."""
     iv = rep.intervals
-    if g.n == 0:
-        return ClaimCheck("interval-dominator", False, ())
-    v = min(range(g.n), key=lambda i: (iv[i][1], i))
-    if not g.adj_mask[v]:
-        return ClaimCheck("interval-dominator", False, ())
+    return min(range(len(iv)), key=lambda i: (iv[i][1], i), default=None)
+
+
+def _interval_dominator(rep: IntervalRep, g: Graph) -> _Witnesses:
+    # v: the first to end.  w: its neighbor with the largest right
+    # endpoint.  Claim: everything within distance 2 of v lies in the
+    # closed neighborhood of w.
+    v = _first_to_end(rep)
+    if v is None or not g.adj_mask[v]:
+        return None
+    iv = rep.intervals
     w = min(iter_bits(g.adj_mask[v]), key=lambda u: (-iv[u][1], u))
     allowed = (g.adj_mask[w] | (1 << w)) & ~(1 << v)
     offenders = (g.adj_mask[v] | g.dist2_masks()[v]) & ~allowed
-    return ClaimCheck(
-        "interval-dominator",
-        True,
-        tuple((v, w, u) for u in iter_bits(offenders)),
-    )
+    return [(v, w, u) for u in iter_bits(offenders)]
 
 
-def _claim_containment_nesting(rep: ContainmentRep, g: Graph) -> ClaimCheck:
-    # v1: smallest right endpoint.  Its neighbors, in increasing right
-    # endpoint order, have nested neighborhoods outside N[v1]; and every
-    # vertex at distance 2 from v1 is adjacent to the last of them.
+def _containment_nesting(rep: ContainmentRep, g: Graph) -> _Witnesses:
+    # v1: the first to end.  Its neighbors, in increasing right endpoint
+    # order, have nested neighborhoods outside N[v1]; and every vertex at
+    # distance 2 from v1 is adjacent to the last of them.
+    v1 = _first_to_end(rep)
+    if v1 is None or not g.adj_mask[v1]:
+        return None
     iv = rep.intervals
-    if g.n == 0:
-        return ClaimCheck("containment-nesting", False, ())
-    v1 = min(range(g.n), key=lambda i: (iv[i][1], i))
     nbrs = sorted(iter_bits(g.adj_mask[v1]), key=lambda u: (iv[u][1], u))
-    if not nbrs:
-        return ClaimCheck("containment-nesting", False, ())
-    witnesses: list[tuple] = []
     closed_v1 = g.adj_mask[v1] | (1 << v1)
-    for a in range(len(nbrs)):
-        outside = g.adj_mask[nbrs[a]] & ~closed_v1
-        for b in range(a + 1, len(nbrs)):
-            bad = outside & ~g.adj_mask[nbrs[b]]
-            witnesses.extend((v1, nbrs[a], nbrs[b], u) for u in iter_bits(bad))
-    last = nbrs[-1]
-    bad2 = g.dist2_masks()[v1] & ~g.adj_mask[last]
-    witnesses.extend((v1, last, u) for u in iter_bits(bad2))
-    return ClaimCheck("containment-nesting", True, tuple(witnesses))
-
-
-def _claim_order_min_adjacency(rep: IntervalOrderRep, g: Graph) -> ClaimCheck:
-    # The vertex with the smallest right endpoint is a minimal element,
-    # and every non-minimal element is adjacent to it.
-    iv = rep.intervals
-    if g.n == 0:
-        return ClaimCheck("order-min-adjacency", False, ())
-    mins = minimal_elements(rep)
-    v1 = min(range(g.n), key=lambda i: (iv[i][1], i))
     witnesses: list[tuple] = []
-    if v1 not in mins:
-        witnesses.append((v1,))
-    for u in range(g.n):
-        if u != v1 and u not in mins and not g.has_edge(v1, u):
-            witnesses.append((v1, u))
-    return ClaimCheck("order-min-adjacency", True, tuple(witnesses))
+    for a, x in enumerate(nbrs):
+        outside = g.adj_mask[x] & ~closed_v1
+        for y in nbrs[a + 1 :]:
+            witnesses.extend((v1, x, y, u) for u in iter_bits(outside & ~g.adj_mask[y]))
+    last = nbrs[-1]
+    bad = g.dist2_masks()[v1] & ~g.adj_mask[last]
+    witnesses.extend((v1, last, u) for u in iter_bits(bad))
+    return witnesses
 
 
-def _claim_order_min_cover(rep: IntervalOrderRep, g: Graph) -> ClaimCheck:
+def _order_min_adjacency(rep: IntervalOrderRep, g: Graph) -> _Witnesses:
+    # The first to end is a minimal element, and every non-minimal
+    # element is adjacent to it.
+    v1 = _first_to_end(rep)
+    if v1 is None:
+        return None
+    mins = minimal_elements(rep)
+    witnesses: list[tuple] = [] if v1 in mins else [(v1,)]
+    witnesses.extend(
+        (v1, u)
+        for u in range(g.n)
+        if u != v1 and u not in mins and not g.has_edge(v1, u)
+    )
+    return witnesses
+
+
+def _order_min_cover(rep: IntervalOrderRep, g: Graph) -> _Witnesses:
     # Hypotheses: min degree >= 2 and at least two minimal elements.
     # Then every neighbor of the minimal element with the largest right
     # endpoint is adjacent to all minimal elements.
-    iv = rep.intervals
     mins = minimal_elements(rep)
-    if g.n == 0 or min(mk.bit_count() for mk in g.adj_mask) < 2 or len(mins) < 2:
-        return ClaimCheck("order-min-cover", False, ())
+    if min(map(int.bit_count, g.adj_mask), default=0) < 2 or len(mins) < 2:
+        return None
+    iv = rep.intervals
     w = min(mins, key=lambda u: (-iv[u][1], u))
     min_mask = sum(1 << u for u in mins)
-    witnesses: list[tuple] = []
-    for x in iter_bits(g.adj_mask[w]):
-        missing = min_mask & ~g.adj_mask[x] & ~(1 << x)
-        witnesses.extend((w, x, z) for z in iter_bits(missing))
-    return ClaimCheck("order-min-cover", True, tuple(witnesses))
+    return [
+        (w, x, z)
+        for x in iter_bits(g.adj_mask[w])
+        for z in iter_bits(min_mask & ~g.adj_mask[x] & ~(1 << x))
+    ]
 
 
-def _claim_cointerval_equivalence(rep: IntervalOrderRep, g: Graph) -> ClaimCheck:
+def _cointerval_equivalence(rep: IntervalOrderRep, g: Graph) -> _Witnesses:
     # The complement of the derived graph is the interval graph of the
     # same intervals, and the derived graph has no induced 2K2.
     iv = rep.intervals
-    witnesses: list[tuple] = []
-    for u in range(g.n):
-        lu, ru = iv[u]
-        for v in range(u + 1, g.n):
-            lv, rv = iv[v]
-            intersect = max(lu, lv) <= min(ru, rv)
-            if g.has_edge(u, v) == intersect:
-                witnesses.append((u, v))
+    witnesses: list[tuple] = [
+        (u, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if g.has_edge(u, v) == (max(iv[u][0], iv[v][0]) <= min(iv[u][1], iv[v][1]))
+    ]
     quad = find_2k2(g)
     if quad is not None:
         witnesses.append(("2k2",) + quad)
-    return ClaimCheck("cointerval-equivalence", True, tuple(witnesses))
+    return witnesses
 
 
-_CLAIMS = {
-    "interval-dominator": _claim_interval_dominator,
-    "containment-nesting": _claim_containment_nesting,
-    "order-min-adjacency": _claim_order_min_adjacency,
-    "order-min-cover": _claim_order_min_cover,
-    "cointerval-equivalence": _claim_cointerval_equivalence,
-}
-
-CLAIMS_BY_KIND = {
-    "interval": ("interval-dominator",),
-    "containment": ("containment-nesting",),
-    "interval_order": (
-        "order-min-adjacency",
-        "order-min-cover",
-        "cointerval-equivalence",
-    ),
+# The structural claims: class -> claim name -> check.
+CLAIMS_BY_KIND: dict[str, dict[str, Callable[[Any, Graph], _Witnesses]]] = {
+    "interval": {"interval-dominator": _interval_dominator},
+    "containment": {"containment-nesting": _containment_nesting},
+    "interval_order": {
+        "order-min-adjacency": _order_min_adjacency,
+        "order-min-cover": _order_min_cover,
+        "cointerval-equivalence": _cointerval_equivalence,
+    },
 }
 
 
@@ -832,20 +804,22 @@ def check_structural_claims(
 ) -> list[ClaimCheck]:
     """Check the structural claims applicable to ``rep``'s kind.
 
-    ``claims`` restricts the set; requesting a claim for the wrong kind
-    raises ValueError.
+    ``claims`` restricts the set, in the order given, repeats included;
+    an unknown claim, or one for the wrong kind, raises ValueError.
     """
-    available = CLAIMS_BY_KIND.get(rep.kind, ())
+    available = CLAIMS_BY_KIND.get(rep.kind, {})
     if claims is None:
-        selected = available
-    else:
-        for name in claims:
-            if name not in _CLAIMS:
+        claims = tuple(available)
+    for name in claims:
+        if name not in available:
+            if not any(name in table for table in CLAIMS_BY_KIND.values()):
                 raise ValueError(f"unknown claim {name!r}")
-            if name not in available:
-                raise ValueError(
-                    f"claim {name!r} not applicable to {rep.kind} representations"
-                )
-        selected = tuple(claims)
+            raise ValueError(
+                f"claim {name!r} not applicable to {rep.kind} representations"
+            )
     g = derive_graph(rep)
-    return [_CLAIMS[name](rep, g) for name in selected]
+    checks = []
+    for name in claims:
+        witnesses = available[name](rep, g)
+        checks.append(ClaimCheck(name, witnesses is not None, tuple(witnesses or ())))
+    return checks

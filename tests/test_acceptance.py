@@ -25,7 +25,6 @@ from intervallabel import (
     chi_square_exact,
     check_structural_claims,
     class_bound,
-    clique_number_exact,
     compute_stats,
     derive_graph,
     exact_lambda,
@@ -36,6 +35,7 @@ from intervallabel import (
     validate,
 )
 from intervallabel.cli import main
+from intervallabel.graph import max_clique_mask
 from intervallabel.verify import circular_construction_bound
 from intervallabel.reps import REP_KINDS, split_circular
 
@@ -147,7 +147,7 @@ def test_5_circular_arc_bounds():
         for seed, n in _sizes(500, 1, 60):
             rep = gen_instance("circular_arc", n, seed)
             g = derive_graph(rep)
-            stats = replace(compute_stats(g), omega=clique_number_exact(g))
+            stats = replace(compute_stats(g), omega=max_clique_mask(g).bit_count())
             assert arc_clique_number(rep) == stats.omega, seed
             clique_len = len(split_circular(rep).clique_ids)
             for pq, params in PARAMS.items():
@@ -178,7 +178,7 @@ def test_6_oracle_agreement():
                 g = derive_graph(rep)
                 lam = exact_lambda(g, params)
                 span = label_instance(rep, params).span
-                stats = replace(compute_stats(g), omega=clique_number_exact(g))
+                stats = replace(compute_stats(g), omega=max_clique_mask(g).bit_count())
                 assert lam >= stats.max_degree, (kind, rep)
                 assert lam <= span <= class_bound(kind, params, stats), (kind, rep)
                 if kind in ("interval_k", "containment"):

@@ -501,7 +501,8 @@ def test_check_size_mismatch(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "change",
-    [{"p": 2.7}, {"q": True}, {"p": "3"}, {"ordering": ["0"]}],
+    [{"p": 2.7}, {"q": True}, {"p": "3"}, {"ordering": ["0"]},
+     {"algorithm": None}, {"algorithm": {"name": "greedy"}}],
 )
 def test_check_rejects_non_integer_fields(tmp_path, capsys, change):
     inst = _p3_instance(tmp_path)

@@ -11,10 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intervallabel import (
-    CapExceededError,
     GraphError,
     build_graph,
-    clique_number_exact,
     compute_stats,
     derive_graph,
     find_2k2,
@@ -326,7 +324,7 @@ def test_stats_triangle():
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     st = compute_stats(g)
     assert (st.max_degree, st.multiplicity, st.omega) == (2, 1, None)
-    assert clique_number_exact(g) == 3
+    assert max_clique_mask(g).bit_count() == 3
 
 
 def test_stats_eight_edge_instance():
@@ -335,7 +333,7 @@ def test_stats_eight_edge_instance():
     assert st.max_degree == 4
     assert st.multiplicity == 3
     assert st.omega is None
-    assert clique_number_exact(g) == 3
+    assert max_clique_mask(g).bit_count() == 3
 
 
 def test_stats_multiplicity_matches_brute_force():
@@ -439,10 +437,10 @@ def test_is_connected():
 
 def test_clique_number_pins():
     k5 = build_graph(5, list(itertools.combinations(range(5), 2)))
-    assert clique_number_exact(k5) == 5
+    assert max_clique_mask(k5).bit_count() == 5
     c5 = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert clique_number_exact(c5) == 2
-    assert clique_number_exact(build_graph(5, THREE_CLASS_EDGES)) == 3
+    assert max_clique_mask(c5).bit_count() == 2
+    assert max_clique_mask(build_graph(5, THREE_CLASS_EDGES)).bit_count() == 3
 
 
 def test_clique_number_matches_subset_enumeration():
@@ -457,17 +455,10 @@ def test_clique_number_matches_subset_enumeration():
                 if all(g.has_edge(u, v) for u, v in itertools.combinations(sub, 2)):
                     best = size
                     break
-        assert clique_number_exact(g) == best
         members = list(iter_bits(max_clique_mask(g)))
         assert len(members) == best
         for u, v in itertools.combinations(members, 2):
             assert g.has_edge(u, v)
-
-
-def test_clique_number_cap():
-    g = build_graph(5, [])
-    with pytest.raises(CapExceededError):
-        clique_number_exact(g, cap=4)
 
 
 def test_2k2_detection():

@@ -790,3 +790,9 @@ def test_parse_labeling_errors(hostile_json):
         parse_labeling(broken(p="3"))
     with pytest.raises(LabelingFormatError, match="'ordering' entries must be integers"):
         parse_labeling(broken(ordering=["0"]))
+    # nor is 'algorithm' turned into a string (null -> 'None', {} -> '{}')
+    for algorithm in (None, {"name": "greedy"}, 7, ["greedy"]):
+        with pytest.raises(LabelingFormatError, match="'algorithm' must be a string"):
+            parse_labeling(broken(algorithm=algorithm))
+    assert parse_labeling(broken(algorithm="interval")).algorithm == "interval"
+    assert parse_labeling(json.dumps(good)).algorithm == "greedy"

@@ -24,7 +24,6 @@ from intervallabel import (
     arc_clique_number,
     bound_report,
     chi_square_exact,
-    clique_number_exact,
     derive_graph,
     exact_lambda,
     find_2k2,
@@ -38,6 +37,7 @@ from intervallabel import (
     validate,
 )
 from intervallabel import graph, reps, verify
+from intervallabel.graph import max_clique_mask
 from intervallabel.reps import REP_CLASSES, REP_KINDS
 
 # ---------------------------------------------------------------------------
@@ -453,7 +453,7 @@ def test_arc_clique_number_matches_branch_and_bound(data):
         x, y, z = r, (r + circ // 3) % circ, (r + 2 * circ // 3) % circ
         arcs += [(x, y), (y, z), (z, x)]
     rep = CircularArcRep(tuple(arcs), circ)
-    assert arc_clique_number(rep) == clique_number_exact(derive_graph(rep))
+    assert arc_clique_number(rep) == max_clique_mask(derive_graph(rep)).bit_count()
 
 
 def test_arc_clique_number_sparse_sweep():
@@ -461,7 +461,7 @@ def test_arc_clique_number_sparse_sweep():
         n = 30 + seed * 37 % 171
         rep = gen_instance("circular_arc", n, seed, density=(0.05, 0.1)[seed % 2])
         g = derive_graph(rep)
-        assert arc_clique_number(rep) == clique_number_exact(g, cap=n), (n, seed)
+        assert arc_clique_number(rep) == max_clique_mask(g).bit_count(), (n, seed)
 
 
 def _arc_clique_number_reference(rep):
@@ -534,7 +534,7 @@ def test_arc_clique_number_matches_reference_with_shared_endpoints():
     # pairwise meeting, but no point lies in all six
     shared = CircularArcRep(((0, 5), (0, 3), (2, 5), (0, 5), (5, 0), (3, 0)), 8)
     assert arc_clique_number(shared) == _arc_clique_number_reference(shared) == 6
-    assert clique_number_exact(derive_graph(shared)) == 6
+    assert max_clique_mask(derive_graph(shared)).bit_count() == 6
 
 
 def _omega_peak(rep):

@@ -24,6 +24,7 @@ import intervallabel
 from intervallabel import (
     CapExceededError,
     ContainmentRep,
+    Graph,
     IntervalOrderRep,
     IntervalRep,
     Labeling,
@@ -822,12 +823,12 @@ def test_bound_report_circular(twelve_arc_rep):
 
 PACKAGE_EXPORTS = [
     "BoundReport", "CapExceededError", "CircularArcRep", "CircularSplit",
-    "ClaimCheck", "ClaimReport", "ContainmentRep", "Graph", "GraphError",
+    "ClaimCheck", "ContainmentRep", "Graph", "GraphError",
     "GraphStats", "InstanceFormatError", "IntervalKRep", "IntervalOrderRep",
     "IntervalRep", "Labeling", "LabelingFormatError", "LpqParams", "RepError",
     "Violation", "arc_clique_number", "bound_report", "build_graph",
     "check_structural_claims", "chi_square_exact", "class_bound",
-    "clique_number_exact", "compute_stats", "defer_degree_one", "derive_graph",
+    "compute_stats", "defer_degree_one", "derive_graph",
     "exact_lambda", "find_2k2", "gen_instance", "greedy_lpq", "is_connected",
     "label_circular_arc", "label_cointerval", "label_instance",
     "label_interval", "label_interval_k", "label_permutation",
@@ -869,12 +870,15 @@ def _unused_imports(source: str) -> list[str]:
 
 def test_every_module_reads_what_it_imports():
     """The unused-import check, with no linter installed: each name a
-    module imports is read somewhere in it.  Names in ``__all__`` count as
-    read, and so does the ``annotations`` future import."""
+    module of the package or of ``tools/`` imports is read somewhere in
+    it.  Names in ``__all__`` count as read, and so does the
+    ``annotations`` future import."""
     package = Path(intervallabel.__file__).parent
+    tools = sorted((Path(__file__).resolve().parents[1] / "tools").glob("*.py"))
+    assert tools
     unused = {
-        path.name: names
-        for path in sorted(package.glob("*.py"))
+        f"{path.parent.name}/{path.name}": names
+        for path in sorted(package.glob("*.py")) + tools
         if (names := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
@@ -1009,3 +1013,106 @@ def test_claims_selection_errors(star_order_rep, containment_rep):
         check_structural_claims(containment_rep, ["interval-dominator"])
     (check,) = check_structural_claims(containment_rep, ["containment-nesting"])
     assert check.ok
+
+
+def _claim_results(rep, claims=None):
+    return [(c.claim, c.applicable, c.witnesses) for c in check_structural_claims(rep, claims)]
+
+
+def _flip_derived_pair(monkeypatch, u, v):
+    """Make ``verify`` see each derived graph with the pair (u, v) flipped:
+    an edge there is dropped and a non-edge added."""
+    derive = verify.derive_graph
+
+    def flipped(rep):
+        adj = list(derive(rep).adj_mask)
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        return Graph(len(adj), adj)
+
+    monkeypatch.setattr(verify, "derive_graph", flipped)
+
+
+@pytest.mark.parametrize(
+    ("kind", "n", "seed", "pair", "expected"),
+    [
+        ("interval", 6, 13, (5, 4), [("interval-dominator", True, ((4, 5, 0),))]),
+        (
+            "containment", 7, 14, (0, 4),
+            [("containment-nesting", True, ((3, 0, 5, 4), (3, 5, 4)))],
+        ),
+        (
+            "interval_order", 5, 0, (0, 1),
+            [
+                ("order-min-adjacency", True, ((1, 0),)),
+                ("order-min-cover", False, ()),
+                ("cointerval-equivalence", True, ((0, 1),)),
+            ],
+        ),
+        (
+            "interval_order", 7, 2, (1, 5),
+            [
+                ("order-min-adjacency", True, ((1, 5),)),
+                ("order-min-cover", True, ((2, 5, 1),)),
+                ("cointerval-equivalence", True, ((1, 5), ("2k2", 1, 3, 2, 5))),
+            ],
+        ),
+    ],
+)
+def test_claims_report_the_witnesses_of_a_flipped_pair(monkeypatch, kind, n, seed, pair, expected):
+    """On derived graphs every claim holds, so each check's witness path is
+    reached by flipping one vertex pair of the graph ``verify`` derives;
+    the witnesses, their order and their shape are pinned exactly.  The
+    last case also plants an induced 2K2 in the cointerval graph."""
+    rep = gen_instance(kind, n, seed)
+    assert all(c.ok for c in check_structural_claims(rep))
+    _flip_derived_pair(monkeypatch, *pair)
+    assert _claim_results(rep) == expected
+
+
+def test_claim_order_min_adjacency_reports_a_non_minimal_first_end(monkeypatch, star_order_rep):
+    """With vertex 0, the first interval to end, dropped from the minimal
+    elements, the check names it alone, then each non-minimal vertex it
+    misses (here 2, once the pair (0, 2) is flipped)."""
+    monkeypatch.setattr(verify, "minimal_elements", lambda rep: {1})
+    assert _claim_results(star_order_rep, ["order-min-adjacency"]) == [
+        ("order-min-adjacency", True, ((0,),))
+    ]
+    _flip_derived_pair(monkeypatch, 0, 2)
+    assert _claim_results(star_order_rep, ["order-min-adjacency"]) == [
+        ("order-min-adjacency", True, ((0,), (0, 2)))
+    ]
+
+
+def test_claims_applicable_counts_on_a_fixed_corpus():
+    """How often each claim's hypotheses hold, over n 1-10 and seeds 0-9
+    per class (100 instances each), and on the empty representations:
+    there only the cointerval claim applies, with no witnesses."""
+    checked, applicable = {}, {}
+    for kind in ("interval", "containment", "interval_order"):
+        for n in range(1, 11):
+            for seed in range(10):
+                for c in check_structural_claims(gen_instance(kind, n, seed)):
+                    assert c.ok, (kind, n, seed, c)
+                    checked[c.claim] = checked.get(c.claim, 0) + 1
+                    applicable[c.claim] = applicable.get(c.claim, 0) + c.applicable
+    assert set(checked.values()) == {100}
+    assert applicable == {
+        "interval-dominator": 77,
+        "containment-nesting": 45,
+        "order-min-adjacency": 100,
+        "order-min-cover": 7,
+        "cointerval-equivalence": 100,
+    }
+    assert _claim_results(IntervalRep(())) == [("interval-dominator", False, ())]
+    assert _claim_results(ContainmentRep(())) == [("containment-nesting", False, ())]
+    assert _claim_results(IntervalOrderRep(())) == [
+        ("order-min-adjacency", False, ()),
+        ("order-min-cover", False, ()),
+        ("cointerval-equivalence", True, ()),
+    ]
+
+
+def test_claims_keep_the_order_and_repeats_of_the_request(star_order_rep):
+    names = ["cointerval-equivalence", "order-min-adjacency", "cointerval-equivalence"]
+    assert [c.claim for c in check_structural_claims(star_order_rep, names)] == names
