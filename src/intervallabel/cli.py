@@ -37,9 +37,8 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 from .graph import CapExceededError
 from .instances import (
@@ -98,31 +97,6 @@ class CliError(Exception):
     """Input or usage error; message goes to stderr, exit status 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Generator arguments shared by gen, bench and claims."""
-
-    kind: str
-    n: int
-    seed: int
-    count: int
-    endpoint_range: tuple[int, int] | None = None
-    k: int = 3
-    circumference: int | None = None
-    density: float | None = None
-
-    def instance(self, index: int):
-        return gen_instance(
-            self.kind,
-            self.n,
-            self.seed + index,
-            endpoint_range=self.endpoint_range,
-            k=self.k,
-            circumference=self.circumference,
-            density=self.density,
-        )
-
-
 def plain_decimal(text: str) -> float:
     """The float ``text`` spells as ASCII digits with an optional
     fractional part ("1", "0.5"); raises ValueError for any other
@@ -144,14 +118,20 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     raise CliError(f"no seed: pass --seed or set {ENV_SEED}")
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
+def _seeds(args: argparse.Namespace) -> range:
+    """The seeds of a sweep: instance i of base seed s is drawn from seed
+    s + i, for i below --count."""
     if args.count < 1:
         raise CliError(f"--count must be positive, got {args.count}")
-    return RunConfig(
-        kind=args.cls,
-        n=args.n,
-        seed=_resolve_seed(args),
-        count=args.count,
+    base = _resolve_seed(args)
+    return range(base, base + args.count)
+
+
+def _instance(args: argparse.Namespace, seed: int) -> Representation:
+    return gen_instance(
+        args.cls,
+        args.n,
+        seed,
         endpoint_range=tuple(args.endpoint_range) if args.endpoint_range else None,
         k=args.k,
         circumference=args.circumference,
@@ -195,11 +175,11 @@ def _write_or_print(payload: str, out: str | None) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
+    seeds = _seeds(args)
     out_dir = Path(args.out)
-    for idx in range(cfg.count):
-        rep = cfg.instance(idx)
-        path = out_dir / f"{cfg.kind}-{cfg.seed}-{idx}.json"
+    for idx, seed in enumerate(seeds):
+        rep = _instance(args, seed)
+        path = out_dir / f"{args.cls}-{seeds.start}-{idx}.json"
         _write(path, serialize_instance(rep), parents=True)
         print(path)
     return 0
@@ -337,42 +317,30 @@ def _parse_pq(values: Sequence[str] | None) -> list[tuple[int, int]]:
     return pairs
 
 
-def _bench_instance(
-    cfg: RunConfig, index: int, pairs: list[tuple[int, int]], cap: int
-) -> tuple[list[dict[str, Any]], list[str]]:
-    seed = cfg.seed + index
-    rep = cfg.instance(index)
-    g = derive_graph(rep)
-    rows = []
-    errors = []
-    for p, q in pairs:
-        params = LpqParams(p, q)
-        lab, report, failures, ns = _label_point(rep, params)
-        errors += [f"seed {seed} ({p},{q}): {line}" for line in failures]
-        try:
-            lam = exact_lambda(g, params, n_cap=cap)
-        except CapExceededError:
-            lam = None
-        stats = report.stats
-        values = (
-            cfg.kind, seed, g.n, p, q, stats.max_degree, stats.multiplicity,
-            stats.omega, lab.span, report.formula_value, report.holds, lam,
-            *(t // 1000 for t in ns),
-        )
-        rows.append(dict(zip(BENCH_COLUMNS, values)))
-    return rows, errors
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
+    seeds = _seeds(args)
     pairs = _parse_pq(args.pq)
     _check_writable(args.out)
     rows = []
     errors = []
-    for idx in range(cfg.count):
-        chunk, lines = _bench_instance(cfg, idx, pairs, args.cap)
-        rows += chunk
-        errors += lines
+    for seed in seeds:
+        rep = _instance(args, seed)
+        g = derive_graph(rep)
+        for p, q in pairs:
+            params = LpqParams(p, q)
+            lab, report, failures, ns = _label_point(rep, params)
+            errors += [f"seed {seed} ({p},{q}): {line}" for line in failures]
+            try:
+                lam = exact_lambda(g, params, n_cap=args.cap)
+            except CapExceededError:
+                lam = None
+            stats = report.stats
+            values = (
+                args.cls, seed, g.n, p, q, stats.max_degree, stats.multiplicity,
+                stats.omega, lab.span, report.formula_value, report.holds, lam,
+                *(t // 1000 for t in ns),
+            )
+            rows.append(dict(zip(BENCH_COLUMNS, values)))
     for line in errors:
         print(line, file=sys.stderr)
     if args.format == "json":
@@ -401,14 +369,14 @@ def cmd_claims(args: argparse.Namespace) -> int:
                 raise CliError(
                     f"claim {name!r} not applicable to class {args.cls!r}"
                 )
-    cfg = _run_config(args)
+    seeds = _seeds(args)
     # A repeated --claim is checked once.
     claims = tuple(dict.fromkeys(args.claim)) if args.claim else None
     _check_writable(args.out)
     by_claim: dict[str, list[tuple[int, ClaimCheck]]] = {}
-    for idx in range(cfg.count):
-        for check in check_structural_claims(cfg.instance(idx), claims):
-            by_claim.setdefault(check.claim, []).append((cfg.seed + idx, check))
+    for seed in seeds:
+        for check in check_structural_claims(_instance(args, seed), claims):
+            by_claim.setdefault(check.claim, []).append((seed, check))
     reports = [
         {
             "claim": name,

@@ -6,8 +6,10 @@ validator reads only the adjacency masks and meets each pair of
 vertices whose labels lie close together once, in one sweep over the
 sorted labels, so it never touches the distance-2 masks the labelers
 share; the exact oracles search label space directly on their own
-distance-2 masks (``_oracle_dist2``), and the clique/coloring routines
-use separate branch-and-bound code paths.  That way a bug in a labeler
+distance-2 masks (``_oracle_dist2``), the structural-claim checks
+compute the one distance-2 row each needs from the adjacency masks
+(``_dist2_row``), and the clique/coloring routines use separate
+branch-and-bound code paths.  That way a bug in a labeler
 or in its distance-2 kernel cannot hide behind shared machinery.
 
 The paper's span bounds (``class_bound``, ``circular_construction_bound``)
@@ -175,16 +177,17 @@ def _oracle_dist2(g: Graph) -> tuple[int, ...]:
 
 
 def _common_neighbour_dist2(g: Graph) -> tuple[int, ...]:
+    adj = g.adj_mask
+    return tuple(_dist2_row(adj, u) for u in range(g.n))
+
+
+def _dist2_row(adj: Sequence[int], u: int) -> int:
     # v is within distance 2 of u when it is adjacent to a neighbour of
     # u, their common neighbour: OR the rows of N(u), then drop N[u]
-    adj = g.adj_mask
-    out = []
-    for u, au in enumerate(adj):
-        reach = 0
-        for w in iter_bits(au):
-            reach |= adj[w]
-        out.append(reach & ~(au | 1 << u))
-    return tuple(out)
+    reach = 0
+    for w in iter_bits(adj[u]):
+        reach |= adj[w]
+    return reach & ~(adj[u] | 1 << u)
 
 
 def _oracle_square(g: Graph) -> Graph:
@@ -612,11 +615,14 @@ class BoundReport:
     q: int
     formula_value: int
     achieved_span: int
-    holds: bool
     stats: GraphStats
     report_only: bool = False
     construction_value: int | None = None
     note: str = ""
+
+    @property
+    def holds(self) -> bool:
+        return self.achieved_span <= self.formula_value
 
     def to_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
@@ -667,7 +673,6 @@ def bound_report(rep: Representation, lab: Labeling, params: LpqParams) -> Bound
         q=params.q,
         formula_value=formula,
         achieved_span=lab.span,
-        holds=lab.span <= formula,
         stats=stats,
         report_only=bool(reasons),
         construction_value=construction,
@@ -713,7 +718,7 @@ def _interval_dominator(rep: IntervalRep, g: Graph) -> _Witnesses:
     iv = rep.intervals
     w = min(iter_bits(g.adj_mask[v]), key=lambda u: (-iv[u][1], u))
     allowed = (g.adj_mask[w] | (1 << w)) & ~(1 << v)
-    offenders = (g.adj_mask[v] | g.dist2_masks()[v]) & ~allowed
+    offenders = (g.adj_mask[v] | _dist2_row(g.adj_mask, v)) & ~allowed
     return [(v, w, u) for u in iter_bits(offenders)]
 
 
@@ -733,7 +738,7 @@ def _containment_nesting(rep: ContainmentRep, g: Graph) -> _Witnesses:
         for y in nbrs[a + 1 :]:
             witnesses.extend((v1, x, y, u) for u in iter_bits(outside & ~g.adj_mask[y]))
     last = nbrs[-1]
-    bad = g.dist2_masks()[v1] & ~g.adj_mask[last]
+    bad = _dist2_row(g.adj_mask, v1) & ~g.adj_mask[last]
     witnesses.extend((v1, last, u) for u in iter_bits(bad))
     return witnesses
 

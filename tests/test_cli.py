@@ -390,7 +390,7 @@ def _unwritable_argv(tmp_path, command):
             "--pq", "2,1", "--out", missing]
 
 
-def _no_instance_may_run(*args):
+def _no_instance_may_run(*args, **kwargs):
     raise AssertionError("an instance ran before the output path was checked")
 
 
@@ -401,7 +401,7 @@ def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, command):
     """Every unwritable output path exits 2 with one error line; bench and
     claims find out before their first instance."""
     argv = _unwritable_argv(tmp_path, command)
-    monkeypatch.setattr(cli, "_bench_instance", _no_instance_may_run)
+    monkeypatch.setattr(cli, "exact_lambda", _no_instance_may_run)
     monkeypatch.setattr(cli, "check_structural_claims", _no_instance_may_run)
     capsys.readouterr()
     assert main(argv) == 2

@@ -821,6 +821,32 @@ def test_bound_report_circular(twelve_arc_rep):
     assert rpt.to_dict()["construction_bound"] == 10
 
 
+@pytest.mark.parametrize(
+    "seed, lambdas",
+    [(75, (4, 5, 5, 10)), (263, (5, 5, 5, 10))],
+)
+def test_seven_arc_witnesses_exceed_the_construction_bound(seed, lambdas):
+    """Two 7-vertex arc instances (|C| = 1, Delta = 3, omega = 3) on which
+    the arc labeler exceeds its split construction's bound at (1,1),
+    (2,1), (1,2) and (3,2), with valid labelings.  At (1,2) the span also
+    exceeds the paper's formula (10 > 9).  On seed 263, lambda(1,1) = 5 is
+    above the construction bound 4, so no labeling can meet that bound."""
+    rep = gen_instance("circular_arc", 7, seed, density=0.3)
+    g = derive_graph(rep)
+    edges = [(u, v) for u in range(g.n) for v in iter_bits(g.adj_mask[u]) if u < v]
+    points = [LpqParams(1, 1), LpqParams(2, 1), LpqParams(1, 2), LpqParams(3, 2)]
+    rows = []
+    for params in points:
+        lab = label_instance(rep, params)
+        assert validate(g, lab) == []
+        rpt = bound_report(rep, lab, params)
+        assert (rpt.stats.max_degree, rpt.stats.omega) == (3, 3)
+        rows.append((lab.span, rpt.construction_value, rpt.formula_value, exact_lambda(g, params)))
+    assert len(verify.split_circular(rep).clique_ids) == 1
+    assert rows == list(zip((5, 10, 10, 15), (4, 8, 8, 12), (6, 12, 9, 18), lambdas))
+    assert _naive_lambda(g.n, edges, 1, 1) == lambdas[0]
+
+
 PACKAGE_EXPORTS = [
     "BoundReport", "CapExceededError", "CircularArcRep", "CircularSplit",
     "ClaimCheck", "ContainmentRep", "Graph", "GraphError",
@@ -960,6 +986,37 @@ def test_validator_survives_a_broken_distance2_kernel(monkeypatch):
         lab = Labeling(tuple(labels), 2, 1)
         for variant, kind in (("L1", "distance2"), ("L2", "common-neighbor"), ("L3", "distance2")):
             assert validate(g, lab, None, variant) == [Violation(kind, u, v, 1, 0)], (edges, variant)
+
+
+def test_claims_read_no_distance2_kernel():
+    """Every structural-claim check, and the helpers they share, reads
+    only the adjacency rows: none names the labelers' distance-2 kernel."""
+    names = [check.__name__ for table in verify.CLAIMS_BY_KIND.values() for check in table.values()]
+    names += ["check_structural_claims", "_first_to_end", "_dist2_row"]
+    assert _distance2_kernel_reads(names) == {name: [] for name in names}
+
+
+def test_claims_survive_an_over_reporting_distance2_kernel(monkeypatch):
+    """With the labelers' kernel reporting every non-neighbour as at
+    distance 2, the claims still find no witness on derived interval and
+    containment graphs: they compute their own distance-2 rows."""
+    kernel = graph._dist2_masks
+
+    def every_non_neighbour(g):
+        full = (1 << g.n) - 1
+        return tuple(full & ~(a | 1 << v) for v, a in enumerate(g.adj_mask))
+
+    monkeypatch.setattr(graph, "_dist2_masks", every_non_neighbour)
+    over_reported = 0
+    for kind in ("interval", "containment"):
+        for density in (None, 0.1):
+            for seed in range(40):
+                rep = gen_instance(kind, 12, seed, density=density)
+                g = derive_graph(rep)
+                over_reported += g.dist2_masks() != kernel(g)
+                for check in check_structural_claims(rep):
+                    assert check.ok, (kind, density, seed, check)
+    assert over_reported > 0
 
 
 # ---------------------------------------------------------------------------
